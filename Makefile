@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke check clean
+.PHONY: all build test bench bench-smoke check check-full clean
 
 all: build
 
@@ -20,6 +20,12 @@ bench-smoke:
 # run (asserts deterministic fault traces). ~CI entry point.
 check:
 	@sh bin/check.sh
+
+# Full-scale gates: every experiment at full size, each asserting its
+# own acceptance criteria; fails on any nonzero exit.
+check-full:
+	dune build @all
+	dune exec bench/main.exe -- all
 
 clean:
 	dune clean

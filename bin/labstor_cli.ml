@@ -698,34 +698,27 @@ let exemplars_cmd =
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"exemplar slots (slowest K requests kept)") in
-  let tail_us =
-    Arg.(value & opt float 0.0
-         & info [ "tail-us" ]
-             ~doc:"fixed promotion threshold in microseconds (0 = adapt to the live client p99)")
-  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"PATH"
              ~doc:"exemplar store output path (overrides the config's exemplar_path)")
   in
-  let run conf ops threads seed k tail_us out =
+  let run conf ops threads seed k out =
     let cfg = parse_run_config conf in
     let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~exemplar_k:k
-        ~exemplar_tail_us:tail_us ()
+      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~exemplar_k:k ()
     in
     drive_obs_workload platform ~ops ~threads;
     (match Runtime.Runtime.exemplars (Platform.runtime platform) with
     | None -> Printf.printf "exemplar store disabled (k = 0)\n"
     | Some store ->
         Printf.printf
-          "exemplars: %d stored of %d offered (%d promoted, %d recycled, %d evicted), threshold %.0f ns\n"
+          "exemplars: %d stored of %d offered (%d promoted, %d recycled, %d evicted)\n"
           (Obs.Exemplar.stored store)
           (Obs.Exemplar.offered store)
           (Obs.Exemplar.promoted store)
           (Obs.Exemplar.recycled store)
-          (Obs.Exemplar.evicted store)
-          (Obs.Exemplar.threshold_ns store);
+          (Obs.Exemplar.evicted store);
         let rows =
           List.map
             (fun v ->
@@ -761,7 +754,7 @@ let exemplars_cmd =
   Cmd.v
     (Cmd.info "exemplars"
        ~doc:"Capture the slowest requests' full stage anatomy through a canned stack and export the tail-exemplar store")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ k $ tail_us $ out)
+    Term.(const run $ conf_pos $ ops $ threads $ seed $ k $ out)
 
 let blackbox_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in

@@ -34,7 +34,7 @@ let boot ?(ncores = 24) ?(nworkers = 4) ?policy ?costs
     ?(profile_period = 0.0) ?profile_path ?lvm_rebuild_rate_mbps
     ?qos_quantum_kb ?qos_window_kb ?qos_bypass_kb ?slo_name
     ?slo_p99_target_us ?slo_floor_kops ?slo_error_budget ?slo_window_ms
-    ?exemplar_k ?exemplar_tail_us ?exemplar_path ?blackbox_cap ?blackbox_path
+    ?exemplar_k ?exemplar_path ?blackbox_cap ?blackbox_path
     () =
   let m = Machine.create ?costs ~seed ~ncores () in
   let devices = if devices = [] then [ Profile.Nvme ] else devices in
@@ -132,11 +132,6 @@ let boot ?(ncores = 24) ?(nworkers = 4) ?policy ?costs
     opt_i
       (fun c i -> { c with Lab_runtime.Runtime.exemplar_k = i })
       config exemplar_k
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.exemplar_tail_us = f })
-      config exemplar_tail_us
   in
   let config =
     opt_i

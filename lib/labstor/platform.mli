@@ -33,7 +33,6 @@ val boot :
   ?slo_error_budget:float ->
   ?slo_window_ms:float ->
   ?exemplar_k:int ->
-  ?exemplar_tail_us:float ->
   ?exemplar_path:string ->
   ?blackbox_cap:int ->
   ?blackbox_path:string ->
@@ -86,10 +85,8 @@ val boot :
     request path byte-identical to a platform without SLO support.
 
     [exemplar_k] (default 0 = off) keeps the [k] slowest completed
-    requests as tail exemplars with full per-stage anatomy; a request
-    is promoted when its latency clears [exemplar_tail_us] (or, at the
-    0.0 default, the live corrected p99 of client latency — the store
-    adapts as load shifts). [blackbox_cap] (default 0 = off) turns on
+    requests as tail exemplars with full per-stage anatomy (an exact
+    top-K over every completion). [blackbox_cap] (default 0 = off) turns on
     the always-on flight recorder: a ring of the last [blackbox_cap]
     encoded events, dumped when a trigger fires (injected fault,
     client-visible ENODEV/ETIMEDOUT, deadline miss, SLO burn rate

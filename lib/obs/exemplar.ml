@@ -5,23 +5,20 @@
    the sample. An [Exemplar.t] fixes that retroactively: every
    request's stage anatomy is captured into a pooled fixed-capacity
    buffer (see {!Trace.flow}), and at completion the buffer is either
-   recycled (latency under the adaptive threshold — the common case,
-   no allocation, no copy) or promoted into this bounded top-K store
-   with its full stage breakdown.
+   recycled (not among the K slowest so far — the common case, no
+   allocation, no copy) or promoted into this bounded top-K store with
+   its full stage breakdown.
 
-   Promotion is a copy into preallocated entry slots: after the store
-   warms up, the steady state allocates nothing. Eviction replaces the
-   strictly-smallest stored latency, so the store converges on the K
-   slowest requests seen; ties keep the incumbent, which makes the
-   contents deterministic for a deterministic run.
-
-   The default threshold is adaptive: the store keeps a high-resolution
-   [Latrec.Hist] of every offered latency and promotes what clears its
-   corrected p99. The histogram's estimate never exceeds its exact
-   running max, so a new slowest-so-far request always promotes — the
-   property a coarse log2-bucket p99 (which overshoots up to 2x)
-   breaks under a rising tail. Callers can instead wire an explicit
-   closure — a fixed [exemplar_tail_us] floor, or any live signal. *)
+   Admission is exact top-K: the store remembers its minimum slot, and
+   once full admits an offer only when it is strictly slower than that
+   minimum, which it then replaces. Only a replacement rescans the K
+   slots for the new minimum, so a rejected offer costs one comparison.
+   Equal latencies keep the earlier offer — a new offer never beats an
+   equal incumbent, and among tied minimums the latest-offered one is
+   evicted — so the store holds exactly the first K of the offers
+   stably sorted by descending latency, deterministic for a
+   deterministic run. Promotion is a copy into preallocated entry
+   slots, so the steady state allocates nothing. *)
 
 (* Stage slots per captured request. The deepest stock stack
    (inject_lag/submit/queue_wait/dispatch/module_stack + one span per
@@ -29,6 +26,7 @@
 let stage_capacity = 24
 
 type entry = {
+  mutable e_seq : int; (* offer number, for tie-breaking *)
   mutable e_id : int;
   mutable e_t0 : float;
   mutable e_latency : float;
@@ -44,8 +42,7 @@ type t = {
   k : int;
   entries : entry array;
   mutable n : int; (* live entries, <= k *)
-  hist : Latrec.Hist.t; (* every offered latency, for the adaptive p99 *)
-  mutable threshold : (unit -> float) option; (* None = adaptive p99 *)
+  mutable min_i : int; (* slot to evict once full *)
   mutable offered : int;
   mutable promoted : int;
   mutable recycled : int;
@@ -54,6 +51,7 @@ type t = {
 
 let fresh_entry () =
   {
+    e_seq = 0;
     e_id = -1;
     e_t0 = 0.0;
     e_latency = 0.0;
@@ -65,26 +63,19 @@ let fresh_entry () =
     e_t1s = Array.make stage_capacity 0.0;
   }
 
-let create ?threshold ~k () =
+let create ~k () =
   let k = if k < 0 then 0 else k in
   {
     k;
     entries = Array.init k (fun _ -> fresh_entry ());
     n = 0;
-    hist = Latrec.Hist.create ();
-    threshold;
+    min_i = 0;
     offered = 0;
     promoted = 0;
     recycled = 0;
     evicted = 0;
   }
 
-let set_threshold t f = t.threshold <- Some f
-
-let threshold_ns t =
-  match t.threshold with
-  | Some f -> f ()
-  | None -> Latrec.Hist.quantile t.hist 0.99
 let k t = t.k
 let stored t = t.n
 let offered t = t.offered
@@ -92,7 +83,8 @@ let promoted t = t.promoted
 let recycled t = t.recycled
 let evicted t = t.evicted
 
-let fill e ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
+let fill e ~seq ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
+  e.e_seq <- seq;
   e.e_id <- id;
   e.e_t0 <- t0;
   e.e_latency <- latency;
@@ -103,42 +95,45 @@ let fill e ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   Array.blit t0s 0 e.e_t0s 0 n;
   Array.blit t1s 0 e.e_t1s 0 n
 
+(* The eviction victim: the smallest latency, and among equal ones the
+   latest offer. *)
+let rescan t =
+  let es = t.entries in
+  let mi = ref 0 in
+  for i = 1 to t.k - 1 do
+    let e = es.(i) and m = es.(!mi) in
+    if e.e_latency < m.e_latency
+       || (e.e_latency = m.e_latency && e.e_seq > m.e_seq)
+    then mi := i
+  done;
+  t.min_i <- !mi
+
 (* Offer one completed request. Arrays belong to the caller's pooled
    flow buffer and are only read during the call; on promotion the
    first [n] records are copied into a preallocated slot. Returns
    [true] iff promoted. *)
 let offer t ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   t.offered <- t.offered + 1;
-  Latrec.Hist.observe t.hist latency;
-  let n = Stdlib.min n stage_capacity in
-  if t.k = 0 || latency < threshold_ns t then begin
-    t.recycled <- t.recycled + 1;
-    false
-  end
-  else if t.n < t.k then begin
-    fill t.entries.(t.n) ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s;
+  let seq = t.offered and n = Stdlib.min n stage_capacity in
+  if t.n < t.k then begin
+    fill t.entries.(t.n) ~seq ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s
+      ~t1s;
     t.n <- t.n + 1;
+    if t.n = t.k then rescan t;
+    t.promoted <- t.promoted + 1;
+    true
+  end
+  else if t.k > 0 && latency > t.entries.(t.min_i).e_latency then begin
+    fill t.entries.(t.min_i) ~seq ~id ~t0 ~latency ~n ~dropped ~names ~cats
+      ~t0s ~t1s;
+    rescan t;
+    t.evicted <- t.evicted + 1;
     t.promoted <- t.promoted + 1;
     true
   end
   else begin
-    (* Full: replace the strictly-smallest latency (first minimum on
-       ties — deterministic). Equal latencies keep the incumbent. *)
-    let mi = ref 0 in
-    for i = 1 to t.k - 1 do
-      if t.entries.(i).e_latency < t.entries.(!mi).e_latency then mi := i
-    done;
-    if latency > t.entries.(!mi).e_latency then begin
-      fill t.entries.(!mi) ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s
-        ~t1s;
-      t.evicted <- t.evicted + 1;
-      t.promoted <- t.promoted + 1;
-      true
-    end
-    else begin
-      t.recycled <- t.recycled + 1;
-      false
-    end
+    t.recycled <- t.recycled + 1;
+    false
   end
 
 (* ---- read-out ----------------------------------------------------- *)
@@ -210,9 +205,8 @@ let to_json t =
   let b = Buffer.create 8192 in
   Buffer.add_string b
     (Printf.sprintf
-       {|{"k":%d,"stored":%d,"offered":%d,"promoted":%d,"recycled":%d,"evicted":%d,"threshold_ns":%s,"exemplars":[|}
-       t.k t.n t.offered t.promoted t.recycled t.evicted
-       (fns (threshold_ns t)));
+       {|{"k":%d,"stored":%d,"offered":%d,"promoted":%d,"recycled":%d,"evicted":%d,"exemplars":[|}
+       t.k t.n t.offered t.promoted t.recycled t.evicted);
   Array.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';

@@ -3,12 +3,14 @@
 
     Every request's spans are recorded into a pooled fixed-capacity
     buffer by the tracer (see {!Trace}); on completion the buffer is
-    recycled when latency is under the adaptive {!val-threshold_ns}, or
-    promoted — copied into a preallocated slot — when it lands in the
-    tail. The store keeps the K slowest requests seen (strict-greater
-    eviction, deterministic ties), so a run ends with the anatomy of
+    promoted — copied into a preallocated slot — when the request is
+    among the K slowest offered so far, and recycled otherwise. The
+    store is an exact top-K: once full, an offer is admitted iff it is
+    strictly slower than the stored minimum, which it replaces; equal
+    latencies keep the earlier offer. So a run ends with the anatomy of
     exactly the outliers a prospective 1-in-N sampler would have
-    missed. Steady state allocates nothing. *)
+    missed. A rejected offer costs one comparison; steady state
+    allocates nothing. *)
 
 val stage_capacity : int
 (** Stage records captured per request (24): the deepest stock stack's
@@ -17,18 +19,8 @@ val stage_capacity : int
 
 type t
 
-val create : ?threshold:(unit -> float) -> k:int -> unit -> t
-(** [k] slots ([k = 0] disables the store: every offer recycles).
-    Without [threshold] the store is self-adaptive: it keeps a
-    {!Latrec.Hist} of every offered latency and promotes what clears
-    its corrected p99 (whose estimate never exceeds the exact running
-    max, so a new slowest-so-far always promotes). An explicit
-    [threshold] closure (ns) overrides that; it is re-read on every
-    offer, so it can track any live signal. *)
-
-val set_threshold : t -> (unit -> float) -> unit
-(** Rewire the promotion threshold (e.g. to a fixed [exemplar_tail_us]
-    floor, or an external {!Latrec} quantile). *)
+val create : k:int -> unit -> t
+(** [k] slots ([k = 0] disables the store: every offer recycles). *)
 
 val offer :
   t ->
@@ -46,9 +38,6 @@ val offer :
     the parallel arrays; [dropped] counts records past
     {!stage_capacity}). Copies in on promotion; never retains the
     caller's arrays. Returns [true] iff promoted. *)
-
-val threshold_ns : t -> float
-(** Current promotion threshold (reads the live closure). *)
 
 val k : t -> int
 val stored : t -> int

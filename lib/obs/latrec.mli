@@ -11,32 +11,9 @@
 
     Everything is plain arithmetic on caller-supplied timestamps: no
     clocks, no engine events, so recording cannot perturb a
-    deterministic run. *)
-
-(** High-resolution histogram: HDR-style log2 majors split into 32
-    linear sub-buckets (quantile error ≤ 6.25%, vs ≤ 2x for the metrics
-    registry's pure log2 buckets), with exact min/max/sum/count kept
-    beside the buckets. Values are nanoseconds; non-finite or negative
-    observations clamp to 0. *)
-module Hist : sig
-  type t
-
-  val create : unit -> t
-  val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-
-  val min_value : t -> float
-  (** Exact smallest observation (0.0 when empty). *)
-
-  val max_value : t -> float
-  (** Exact largest observation (0.0 when empty). *)
-
-  val quantile : t -> float -> float
-  (** [quantile h q] for [q] in [0,1]; nearest-rank over the buckets,
-      clamped into the exact [min,max] envelope. 0.0 when empty. *)
-end
+    deterministic run. The three distributions are bounded HDR
+    {!Lab_sim.Stats.t}s: exact count/sum/min/max, quantiles within
+    1/16 of the exact value. Negative spans are recorded as 0. *)
 
 type t
 
@@ -59,19 +36,23 @@ val errors : t -> int
 val dropped : t -> int
 val late : t -> int
 
-val corrected : t -> Hist.t
+val corrected : t -> Lab_sim.Stats.t
 (** completed − scheduled: the CO-safe latency distribution. *)
 
-val naive : t -> Hist.t
+val naive : t -> Lab_sim.Stats.t
 (** completed − sent: what a closed-loop bench would have reported. *)
 
-val lag : t -> Hist.t
+val lag : t -> Lab_sim.Stats.t
 (** sent − scheduled: how far the generator fell behind its schedule. *)
 
 val corrected_quantile : t -> float -> float
+(** [corrected_quantile t q] for [q] in [0,1]; 0.0 when empty. *)
+
 val naive_quantile : t -> float -> float
 val lag_mean_ns : t -> float
+
 val lag_max_ns : t -> float
+(** Exact largest lag; 0.0 when empty. *)
 
 val register : t -> reg:Metrics.t -> prefix:string -> unit
 (** Expose the recorder as read-through gauges

@@ -1,4 +1,4 @@
-(** Unified metrics registry: named counters, gauges and log-bucketed
+(** Unified metrics registry: named counters, gauges and HDR
     histograms that every subsystem registers into, replacing bespoke
     per-module counter structs with one queryable tree.
 
@@ -38,10 +38,10 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
 
 (** {1 Histograms} *)
 
-type histogram
-(** Fixed log2-bucketed distribution (64 buckets; bucket [i] holds
-    values in [(2^(i-1), 2^i]]).  Quantiles report the upper bound of
-    the rank's bucket, i.e. within one power of two. *)
+type histogram = Lab_sim.Stats.t
+(** The bounded HDR histogram of {!Lab_sim.Stats}: fixed memory, exact
+    count/sum/min/max, quantiles within 1/16 (+1 ns) of the exact
+    nearest-rank value. *)
 
 val histogram : ?reg:t -> string -> histogram
 (** Interned like {!counter}; detached without [~reg]. *)
@@ -61,7 +61,8 @@ val hist_max : histogram -> float
 (** Exact largest observation; 0.0 when empty. *)
 
 val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0,1]; 0.0 when empty. *)
+(** [quantile h q] for [q] in [0,1]: {!Lab_sim.Stats.percentile} at
+    [100 q]; 0.0 when empty. *)
 
 val p50 : histogram -> float
 val p99 : histogram -> float
@@ -77,7 +78,8 @@ type hist_snapshot = {
   hs_p50 : float;
   hs_p99 : float;
   hs_p999 : float;
-  hs_buckets : (float * int) list;  (** (bucket upper bound, count) *)
+  hs_buckets : (float * int) list;
+      (** non-empty HDR buckets as (integer upper bound, count) *)
 }
 
 type value = V_counter of int | V_gauge of float | V_histogram of hist_snapshot

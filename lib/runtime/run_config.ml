@@ -89,7 +89,6 @@ let of_yaml node =
         load_injectors = geti "load_injectors" d.Runtime.load_injectors;
         load_queue_cap = geti "load_queue_cap" d.Runtime.load_queue_cap;
         exemplar_k = geti "exemplar_k" d.Runtime.exemplar_k;
-        exemplar_tail_us = getf "exemplar_tail_us" d.Runtime.exemplar_tail_us;
         exemplar_path = gets "exemplar_path" d.Runtime.exemplar_path;
         blackbox_cap = geti "blackbox_cap" d.Runtime.blackbox_cap;
         blackbox_path = gets "blackbox_path" d.Runtime.blackbox_path;

@@ -19,9 +19,6 @@ type config = {
       (* tail-exemplar store slots: 0 (the default) disables retroactive
          stage capture entirely; > 0 captures every request's stages
          into pooled buffers and keeps the K slowest with full anatomy *)
-  exemplar_tail_us : float;
-      (* fixed promotion threshold (µs); <= 0 (the default) adapts to
-         the live client-latency p99 instead *)
   exemplar_path : string option;
       (* where Platform.export writes the exemplar JSON *)
   blackbox_cap : int;
@@ -78,7 +75,6 @@ let default_config =
     trace_path = None;
     metrics_path = None;
     exemplar_k = 0;
-    exemplar_tail_us = 0.0;
     exemplar_path = None;
     blackbox_cap = 0;
     blackbox_path = None;
@@ -234,21 +230,11 @@ let prime_estimate t ~qp_id req =
 let create machine ?(config = default_config) ~backends ~default_backend () =
   let reg = Registry.create () in
   let metrics = Lab_obs.Metrics.create () in
-  (* Tail-exemplar store: built only when slots are configured. Its
-     promotion threshold is either the fixed [exemplar_tail_us] floor
-     or (at the 0.0 default) the store's own self-adaptive corrected
-     p99 over every offered latency — re-read on each completion, so
-     the store adapts as the run's tail moves. *)
+  (* Tail-exemplar store (exact top-K): built only when slots are
+     configured. *)
   let exemplars =
     if config.exemplar_k > 0 then
-      if config.exemplar_tail_us > 0.0 then begin
-        let fixed = config.exemplar_tail_us *. 1e3 in
-        Some
-          (Lab_obs.Exemplar.create
-             ~threshold:(fun () -> fixed)
-             ~k:config.exemplar_k ())
-      end
-      else Some (Lab_obs.Exemplar.create ~k:config.exemplar_k ())
+      Some (Lab_obs.Exemplar.create ~k:config.exemplar_k ())
     else None
   in
   let tracer =

@@ -30,9 +30,6 @@ type config = {
           capture): when positive, {e every} request's stages are
           recorded into a pooled buffer and the K slowest completions
           are kept with full anatomy — see {!Lab_obs.Exemplar} *)
-  exemplar_tail_us : float;
-      (** fixed exemplar promotion threshold (µs); [<= 0] (the
-          default) adapts to the live client-latency p99 instead *)
   exemplar_path : string option;
       (** where {!Platform.export} writes the exemplar JSON *)
   blackbox_cap : int;

@@ -1,4 +1,11 @@
-(** Sample statistics for simulation measurements. *)
+(** Bounded sample statistics for simulation measurements.
+
+    The one histogram of the code base: an HDR-style bucket array (each
+    power of two split into 16 linear sub-buckets, values below 32
+    bucketed per integer) of fixed size, so memory stays flat however
+    many samples are added. [count], [sum], [mean], [stddev], [min] and
+    [max] are exact, computed from the raw values; only {!percentile}
+    is an estimate. Non-finite samples are recorded as 0. *)
 
 type t
 
@@ -21,16 +28,18 @@ val min : t -> float
 val max : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t p] with [p] in [0,100], nearest-rank on the sorted
-    sample; [nan] when empty. *)
+(** [percentile t p] with [p] in [0,100]: the nearest-rank value
+    estimated from the buckets, [nan] when empty. For non-negative
+    samples the estimate [e] of the exact nearest-rank value [x]
+    satisfies [|e - x| <= x/16 + 1] and lies within [[min, max]];
+    [p = 0] and [p = 100] are exact. Negative samples share the bucket
+    of 0. *)
 
-val merge : t -> t -> t
-(** Fresh statistics over both sample sets. *)
+val buckets : t -> (float * int) list
+(** Non-empty buckets in ascending order, as (integer upper bound,
+    count). *)
 
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Prints "n=… mean=… p50=… p99=…". *)
 
 (** Monotonically increasing event counter with rate helper. *)
 module Counter : sig

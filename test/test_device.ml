@@ -162,6 +162,23 @@ let test_service_stats_collected () =
       Device.reset_stats dev;
       Alcotest.(check int) "reset" 0 (Stats.count (Device.service_stats dev)))
 
+(* Service times go into a bounded histogram: its footprint after 10k
+   ops equals the one after 1k. *)
+let test_service_stats_flat_memory () =
+  in_sim (fun e ->
+      let dev = Device.create e Profile.nvme in
+      let ops n =
+        for i = 1 to n do
+          ignore (Device.submit_wait dev ~hctx:0 ~kind:Read ~lba:(i * 8) ~bytes:4096)
+        done
+      in
+      let words () = Obj.reachable_words (Obj.repr (Device.service_stats dev)) in
+      ops 1_000;
+      let w1k = words () in
+      ops 9_000;
+      Alcotest.(check int) "10k samples" 10_000 (Stats.count (Device.service_stats dev));
+      Alcotest.(check int) "same words after 10k ops" w1k (words ()))
+
 let prop_device_kinds_latency_order =
   QCheck.Test.make ~name:"PMEM < NVMe < SSD < HDD for 4K random writes"
     ~count:10
@@ -202,6 +219,8 @@ let () =
           Alcotest.test_case "flush" `Quick test_flush_waits_for_outstanding;
           Alcotest.test_case "per-queue fifo" `Quick test_per_queue_fifo;
           Alcotest.test_case "service stats" `Quick test_service_stats_collected;
+          Alcotest.test_case "service stats flat memory" `Quick
+            test_service_stats_flat_memory;
           QCheck_alcotest.to_alcotest prop_device_kinds_latency_order;
         ] );
     ]

@@ -346,39 +346,41 @@ let test_slo_burn () =
 (* ------------------------------------------------------------------ *)
 
 let test_hist_empty () =
-  let h = Lab_obs.Latrec.Hist.create () in
+  (* An empty recorder answers every quantile, the lag mean and the lag
+     max with 0. *)
+  let r = Lab_obs.Latrec.create () in
   List.iter
     (fun q ->
       Alcotest.(check (float 0.0))
-        (Printf.sprintf "empty q%.3f" q)
+        (Printf.sprintf "empty corrected q%.3f" q)
         0.0
-        (Lab_obs.Latrec.Hist.quantile h q))
+        (Lab_obs.Latrec.corrected_quantile r q))
     [ 0.0; 0.5; 0.99; 0.999; 1.0 ];
-  Alcotest.(check (float 0.0)) "empty min" 0.0 (Lab_obs.Latrec.Hist.min_value h);
-  Alcotest.(check (float 0.0)) "empty max" 0.0 (Lab_obs.Latrec.Hist.max_value h);
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 (Lab_obs.Latrec.Hist.mean h);
-  (* An empty recorder answers every quantile with 0 too. *)
-  let r = Lab_obs.Latrec.create () in
-  Alcotest.(check (float 0.0)) "recorder empty p99" 0.0
-    (Lab_obs.Latrec.corrected_quantile r 0.99);
   Alcotest.(check (float 0.0)) "recorder empty naive" 0.0
     (Lab_obs.Latrec.naive_quantile r 0.99);
+  Alcotest.(check (float 0.0)) "empty min" 0.0
+    (Lab_obs.Metrics.hist_min (Lab_obs.Latrec.corrected r));
+  Alcotest.(check (float 0.0)) "empty max" 0.0
+    (Lab_obs.Metrics.hist_max (Lab_obs.Latrec.corrected r));
+  Alcotest.(check (float 0.0)) "recorder empty lag mean" 0.0
+    (Lab_obs.Latrec.lag_mean_ns r);
   Alcotest.(check (float 0.0)) "recorder empty lag max" 0.0
     (Lab_obs.Latrec.lag_max_ns r)
 
 let test_hist_single_sample () =
   (* One observation: every quantile is that observation — the [min,max]
-     clamp collapses the bucket midpoint to the exact value. *)
-  let h = Lab_obs.Latrec.Hist.create () in
-  Lab_obs.Latrec.Hist.observe h 7777.5;
-  Alcotest.(check (float 0.0)) "min" 7777.5 (Lab_obs.Latrec.Hist.min_value h);
-  Alcotest.(check (float 0.0)) "max" 7777.5 (Lab_obs.Latrec.Hist.max_value h);
+     clamp collapses the bucket bound to the exact value. *)
+  let r = Lab_obs.Latrec.create () in
+  Lab_obs.Latrec.record r ~scheduled:0.0 ~sent:0.0 ~completed:7777.5 ~ok:true;
+  let h = Lab_obs.Latrec.corrected r in
+  Alcotest.(check (float 0.0)) "min" 7777.5 (Lab_sim.Stats.min h);
+  Alcotest.(check (float 0.0)) "max" 7777.5 (Lab_sim.Stats.max h);
   List.iter
     (fun q ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "q%.3f = the sample" q)
         7777.5
-        (Lab_obs.Latrec.Hist.quantile h q))
+        (Lab_obs.Latrec.corrected_quantile r q))
     [ 0.0; 0.5; 0.999; 1.0 ]
 
 let test_slo_empty_window () =

@@ -63,13 +63,17 @@ let test_gauge_read_through () =
 
 let test_histogram_quantiles () =
   let h = Metrics.histogram "h" in
-  (* Log2 buckets report the upper bound of the rank's bucket. *)
+  (* HDR buckets: integers below 32 are exact, the top rank is the
+     exact maximum, others land within 1/16 above. *)
   List.iter (Metrics.observe h) [ 3.0; 3.0; 3.0; 1000.0 ];
   Alcotest.(check int) "count" 4 (Metrics.hist_count h);
   Alcotest.(check (float 1e-9)) "sum" 1009.0 (Metrics.hist_sum h);
-  Alcotest.(check (float 0.0)) "p50 in (2,4] bucket" 4.0 (Metrics.p50 h);
-  Alcotest.(check (float 0.0)) "p999 in (512,1024] bucket" 1024.0
+  Alcotest.(check (float 0.0)) "p50 exact below 32" 3.0 (Metrics.p50 h);
+  Alcotest.(check (float 0.0)) "p999 is the exact max" 1000.0
     (Metrics.p999 h);
+  List.iter (Metrics.observe h) [ 1000.0; 1000.0; 1000.0; 1000.0 ];
+  Alcotest.(check (float 0.0)) "p50 in the [992,1023] bucket" 1000.0
+    (Metrics.p50 h);
   let empty = Metrics.histogram "h2" in
   Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Metrics.p50 empty)
 
@@ -368,40 +372,71 @@ let offer_simple store ~id ~latency =
     ~t1s:[| latency |]
 
 let test_exemplar_promote_recycle () =
-  let thr = ref 100.0 in
-  let store = Exemplar.create ~threshold:(fun () -> !thr) ~k:2 () in
-  (* Under threshold: recycled, not stored. *)
-  Alcotest.(check bool) "fast recycled" false
-    (offer_simple store ~id:1 ~latency:50.0);
-  Alcotest.(check int) "nothing stored" 0 (Exemplar.stored store);
-  (* Tail: promoted into free slots. *)
-  Alcotest.(check bool) "slow promoted" true
-    (offer_simple store ~id:2 ~latency:200.0);
-  Alcotest.(check bool) "slow promoted" true
-    (offer_simple store ~id:3 ~latency:300.0);
+  let store = Exemplar.create ~k:2 () in
+  (* Free slots: every offer is promoted. *)
+  Alcotest.(check bool) "first promoted" true
+    (offer_simple store ~id:1 ~latency:200.0);
+  Alcotest.(check bool) "second promoted" true
+    (offer_simple store ~id:2 ~latency:300.0);
   Alcotest.(check int) "store full" 2 (Exemplar.stored store);
   (* Full store: only strictly-slower requests evict the minimum. *)
   Alcotest.(check bool) "equal-to-min keeps incumbent" false
-    (offer_simple store ~id:4 ~latency:200.0);
+    (offer_simple store ~id:3 ~latency:200.0);
+  Alcotest.(check bool) "faster recycled" false
+    (offer_simple store ~id:4 ~latency:50.0);
   Alcotest.(check bool) "slower evicts min" true
     (offer_simple store ~id:5 ~latency:250.0);
   Alcotest.(check int) "evictions counted" 1 (Exemplar.evicted store);
   (match Exemplar.dump store with
   | [ a; b ] ->
-      Alcotest.(check int) "slowest first" 3 a.Exemplar.v_id;
+      Alcotest.(check int) "slowest first" 2 a.Exemplar.v_id;
       Alcotest.(check (float 0.0)) "slowest latency" 300.0 a.Exemplar.v_latency;
       Alcotest.(check int) "runner-up" 5 b.Exemplar.v_id
   | vs -> Alcotest.failf "expected 2 exemplars, got %d" (List.length vs));
-  (* The threshold closure is re-read per offer: raising it recycles. *)
-  thr := 1e9;
-  Alcotest.(check bool) "raised threshold recycles" false
+  (* A new slowest-so-far always promotes. *)
+  Alcotest.(check bool) "new max promoted" true
     (offer_simple store ~id:6 ~latency:500.0);
   Alcotest.(check int) "offers counted" 6 (Exemplar.offered store);
-  Alcotest.(check int) "promotions counted" 3 (Exemplar.promoted store);
-  Alcotest.(check int) "recycles counted" 3 (Exemplar.recycled store);
+  Alcotest.(check int) "promotions counted" 4 (Exemplar.promoted store);
+  Alcotest.(check int) "recycles counted" 2 (Exemplar.recycled store);
   (* Export is byte-stable. *)
   Alcotest.(check string) "json stable" (Exemplar.to_json store)
     (Exemplar.to_json store)
+
+(* A full store whose minimum is below the running p99 of all offers
+   must still admit an offer between the two: here the store holds
+   100..400 (p99 of the offers is 400) and 250 must replace 100. *)
+let test_exemplar_admits_below_p99 () =
+  let store = Exemplar.create ~k:4 () in
+  List.iteri
+    (fun i l -> ignore (offer_simple store ~id:i ~latency:l))
+    [ 100.0; 200.0; 300.0; 400.0 ];
+  Alcotest.(check bool) "between min and p99 admitted" true
+    (offer_simple store ~id:9 ~latency:250.0);
+  Alcotest.(check (list (float 0.0)))
+    "top 4" [ 400.0; 300.0; 250.0; 200.0 ]
+    (List.map (fun v -> v.Exemplar.v_latency) (Exemplar.dump store))
+
+(* After any sequence of offers the store holds exactly the first K of
+   the offers stably sorted by descending latency (equal latencies keep
+   the earlier offer). Latencies are drawn from a small range so ties
+   are common. *)
+let prop_exemplar_exact_top_k =
+  QCheck.Test.make ~name:"holds the exact stable top-K" ~count:500
+    QCheck.(pair (int_range 0 8) (list_of_size Gen.(int_range 0 200) (int_range 0 40)))
+    (fun (k, lats) ->
+      let store = Exemplar.create ~k () in
+      List.iteri
+        (fun id l -> ignore (offer_simple store ~id ~latency:(float_of_int l)))
+        lats;
+      let expected =
+        List.mapi (fun id l -> (id, l)) lats
+        |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map fst |> List.sort compare
+      in
+      let got = List.sort compare (List.map (fun v -> v.Exemplar.v_id) (Exemplar.dump store)) in
+      got = expected)
 
 let test_exemplar_stage_copy () =
   (* Promotion copies the stage arrays; the caller's buffers can be
@@ -513,11 +548,11 @@ let threads = 2
 
 let ops = 40
 
-let run_platform ?(profile_period = 0.0) ?exemplar_k ?exemplar_tail_us
-    ?blackbox_cap ~sample () =
+let run_platform ?(profile_period = 0.0) ?exemplar_k ?blackbox_cap ~sample
+    () =
   let platform =
     Platform.boot ~nworkers:2 ~seed:0x0B5 ~trace_sample:sample ~profile_period
-      ?exemplar_k ?exemplar_tail_us ?blackbox_cap ()
+      ?exemplar_k ?blackbox_cap ()
   in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
@@ -646,8 +681,7 @@ let test_capture_neutrality () =
   in
   let off = run_platform ~sample:0 () in
   let on =
-    run_platform ~sample:0 ~exemplar_k:8 ~exemplar_tail_us:1.0
-      ~blackbox_cap:256 ()
+    run_platform ~sample:0 ~exemplar_k:8 ~blackbox_cap:256 ()
   in
   let events0, elapsed0 = observe off in
   let events1, elapsed1 = observe on in
@@ -688,8 +722,7 @@ let test_capture_neutrality () =
         (List.length (Flightrec.dumps bb)));
   (* Same-seed determinism extends to the new artifacts. *)
   let again =
-    run_platform ~sample:0 ~exemplar_k:8 ~exemplar_tail_us:1.0
-      ~blackbox_cap:256 ()
+    run_platform ~sample:0 ~exemplar_k:8 ~blackbox_cap:256 ()
   in
   let json p =
     match Runtime.Runtime.exemplars (Platform.runtime p) with
@@ -771,6 +804,9 @@ let () =
             test_exemplar_promote_recycle;
           Alcotest.test_case "stage copy" `Quick test_exemplar_stage_copy;
           Alcotest.test_case "disabled" `Quick test_exemplar_disabled;
+          Alcotest.test_case "admits below running p99" `Quick
+            test_exemplar_admits_below_p99;
+          QCheck_alcotest.to_alcotest prop_exemplar_exact_top_k;
         ] );
       ( "flightrec",
         [
