@@ -68,8 +68,7 @@ let run_point ~seed ~rate_kops ~total ~obs ?fault_script ?(slo = false) () =
     | On ->
         if slo then
           Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script
-            ~exemplar_k:32 ~blackbox_cap:4096 ~slo_p99_target_us:500.0
-            ~slo_window_ms:1.0 ()
+            ~exemplar_k:32 ~blackbox_cap:4096 ~slo_p99_target_us:500.0 ()
         else
           Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script
             ~exemplar_k:32 ~blackbox_cap:4096 ()

@@ -87,6 +87,16 @@ echo "== labstor_cli metrics smoke =="
 dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 > /dev/null
 test -s out/metrics.jsonl
 
+echo "== labstor_cli config smoke =="
+# A --set knob reaches the runtime (the SLO gauges exist only when an
+# objective is configured), and an unknown knob is an error.
+dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 --set slo_p99_target_us=50 > /dev/null
+grep -q slo.client.burn_rate out/metrics.jsonl
+if dune exec bin/labstor_cli.exe -- metrics --set no_such_key=1 > /dev/null 2>&1; then
+  echo "labstor_cli accepted an unknown --set key" >&2
+  exit 1
+fi
+
 echo "== labstor_cli profile/top smoke =="
 dune exec bin/labstor_cli.exe -- profile --ops 200 --threads 2 > /dev/null
 test -s out/profile.json
@@ -103,6 +113,6 @@ echo "== labstor_cli qos smoke =="
 dune exec bin/labstor_cli.exe -- qos --tenants 4 --ops 50 --noisy > /dev/null
 
 echo "== labstor_cli load smoke =="
-dune exec bin/labstor_cli.exe -- load --rate 100 --total 500 --slo-p99 100 > /dev/null
+dune exec bin/labstor_cli.exe -- load --rate 100 --total 500 --set slo_p99_target_us=100 > /dev/null
 
 echo "check: OK"

@@ -6,6 +6,7 @@
      labstor_cli validate my-stack.yaml
      labstor_cli run --stack my-stack.yaml --ops 5000 --bytes 4096
      labstor_cli run --stack my-stack.yaml --config runtime.yaml --threads 4
+     labstor_cli metrics --set workers=8 --set slo_p99_target_us=50
      labstor_cli mods *)
 
 open Labstor
@@ -76,43 +77,68 @@ let validate_cmd =
   Cmd.v (Cmd.info "validate" ~doc:"Parse and validate a LabStack specification")
     Term.(const run $ spec_file)
 
-(* ---------------- run ---------------- *)
+(* ---------------- runtime configuration ---------------- *)
 
-let parse_run_config = function
-  | None -> Runtime.Runtime.default_config
-  | Some f -> (
-      match Runtime.Run_config.parse (read_file f) with
-      | Ok c -> c
-      | Error e ->
-          Printf.eprintf "config error: %s\n" e;
-          exit 1)
+(* Every workload subcommand takes its runtime knobs one way: the
+   command's own defaults ([base]), then the --config YAML file, then
+   each --set KEY=VALUE in order, then --out for the one artifact the
+   command writes. *)
+let config_term ?(base = Runtime.Runtime.default_config) ?out () =
+  let file =
+    Arg.(value & opt (some file) None
+         & info [ "config" ] ~docv:"CONF"
+             ~doc:"Runtime configuration YAML; its keys override this command's defaults")
+  in
+  let sets =
+    Arg.(value & opt_all string []
+         & info [ "set" ] ~docv:"KEY=VALUE"
+             ~doc:
+               ("Set one runtime knob after $(b,--config); repeatable. Keys: "
+               ^ String.concat "; "
+                   (List.map
+                      (fun (k : Runtime.Run_config.knob) -> Printf.sprintf "$(b,%s) (%s)" k.key k.doc)
+                      Runtime.Run_config.knobs)))
+  in
+  let path =
+    match out with
+    | None -> Term.const None
+    | Some (what, _) ->
+        Arg.(value & opt (some string) None
+             & info [ "out" ] ~docv:"PATH" ~doc:(what ^ " output path (overrides the config's)"))
+  in
+  let build file sets path =
+    let ( let* ) = Result.bind in
+    let config =
+      let* c =
+        match file with
+        | None -> Ok base
+        | Some f -> Runtime.Run_config.parse ~base (read_file f)
+      in
+      List.fold_left (fun acc kv -> let* c = acc in Runtime.Run_config.set c kv) (Ok c) sets
+    in
+    match (config, out, path) with
+    | Error e, _, _ -> `Error (false, "config error: " ^ e)
+    | Ok c, Some (_, set_path), Some p -> `Ok (set_path c p)
+    | Ok c, _, _ -> `Ok c
+  in
+  Term.(ret (const build $ file $ sets $ path))
+
+let wrote ?(note = "") path = Option.iter (fun p -> Printf.printf "wrote %s%s\n" p note) path
+
+(* ---------------- run ---------------- *)
 
 let run_cmd =
   let stack_file =
     Arg.(required & opt (some file) None & info [ "stack" ] ~docv:"SPEC" ~doc:"LabStack YAML file")
   in
-  let config_file =
-    Arg.(value & opt (some file) None & info [ "config" ] ~docv:"CONF" ~doc:"Runtime configuration YAML")
-  in
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"operations per thread") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
   let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"client threads") in
-  let run stack_file config_file ops bytes threads =
-    let config = parse_run_config config_file in
-    let machine = Sim.Machine.create ~ncores:24 () in
-    let nvme = Device.Device.create machine.Sim.Machine.engine Device.Profile.nvme in
-    let backend = Mods.Mods_env.backend_of_device machine nvme in
-    let config =
-      { config with Runtime.Runtime.worker_core_base = 24 - config.Runtime.Runtime.nworkers }
-    in
-    let rt =
-      Runtime.Runtime.create machine ~config ~backends:[ ("nvme", backend) ]
-        ~default_backend:"nvme" ()
-    in
-    Runtime.Runtime.start rt;
-    let spec_text = read_file stack_file in
+  let run stack_file config ops bytes threads =
+    let platform = Platform.boot ~config () in
+    let machine = Platform.machine platform in
     let mount =
-      match Runtime.Runtime.mount_text rt spec_text with
+      match Platform.mount platform (read_file stack_file) with
       | Ok stack -> stack.Core.Stack.mount
       | Error e ->
           Printf.eprintf "mount error: %s\n" e;
@@ -125,9 +151,7 @@ let run_cmd =
         Sim.Engine.suspend (fun resume ->
             for th = 0 to threads - 1 do
               Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c =
-                    Runtime.Client.connect rt ~pid:(100 + th) ~uid:1000 ~thread:th ()
-                  in
+                  let c = Platform.client platform ~pid:(100 + th) ~thread:th () in
                   for i = 1 to ops do
                     let path = Printf.sprintf "%s/t%d-f%d" mount th i in
                     (match Runtime.Client.create c path with
@@ -151,14 +175,15 @@ let run_cmd =
         Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
           mount total_ops (elapsed /. 1e6)
           (float_of_int total_ops /. (elapsed /. 1e9) /. 1000.0)
-          (float_of_int (ops * threads * bytes) /. 1048576.0)
+          (float_of_int (ops * threads * bytes) /. 1048576.0);
+        Platform.export platform
     | None ->
         Printf.eprintf "workload did not complete\n";
         exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Mount a LabStack on a simulated NVMe machine and drive a create/write/close workload")
-    Term.(const run $ stack_file $ config_file $ ops $ bytes $ threads)
+    Term.(const run $ stack_file $ config_term () $ ops $ bytes $ threads)
 
 (* ---------------- faults ---------------- *)
 
@@ -190,7 +215,7 @@ let faults_cmd =
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"print the full fault trace") in
-  let run rate timeout_rate torn_rate seed ops bytes threads trace =
+  let run config rate timeout_rate torn_rate seed ops bytes threads trace =
     let rates =
       {
         Sim.Fault.io_error = rate;
@@ -199,7 +224,7 @@ let faults_cmd =
         torn_write = torn_rate;
       }
     in
-    let platform = Platform.boot ~nworkers:4 ~seed ~fault_rates:rates () in
+    let platform = Platform.boot ~config ~seed ~fault_rates:rates () in
     (match Platform.mount platform faults_stack_spec with
     | Ok _ -> ()
     | Error e ->
@@ -258,12 +283,13 @@ let faults_cmd =
         ("requeues", sum Runtime.Client.requeues);
         ("deadline_misses", sum Runtime.Client.deadline_misses);
         ("exhausted", sum Runtime.Client.exhausted_retries);
-      ]
+      ];
+    Platform.export platform
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Drive a block workload against a device with a deterministic fault plan and report fault/retry counters")
-    Term.(const run $ rate $ timeout_rate $ torn_rate $ seed $ ops $ bytes $ threads $ trace)
+    Term.(const run $ config_term () $ rate $ timeout_rate $ torn_rate $ seed $ ops $ bytes $ threads $ trace)
 
 (* ---------------- lvm ---------------- *)
 
@@ -285,17 +311,11 @@ let lvm_cmd =
   let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"reads per thread per phase") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0x1074 & info [ "seed" ] ~doc:"workload seed") in
-  let rate =
-    Arg.(value & opt float 400.0
-         & info [ "rebuild-rate" ] ~docv:"MBPS" ~doc:"resilver copy-rate cap in MB/s")
-  in
   let journal = Arg.(value & flag & info [ "journal" ] ~doc:"print the redo journal") in
-  let run extents ops threads seed rate journal =
+  let run config extents ops threads seed journal =
     let extent_blocks = 2048 in
     let platform =
-      Platform.boot ~nworkers:4 ~seed ~lvm_rebuild_rate_mbps:rate
-        ~devices:[ Device.Profile.Nvme; Device.Profile.Nvme ]
-        ()
+      Platform.boot ~config ~seed ~devices:[ Device.Profile.Nvme; Device.Profile.Nvme ] ()
     in
     (match Platform.mount platform lvm_stack_spec with
     | Ok _ -> ()
@@ -383,7 +403,7 @@ let lvm_cmd =
     Printf.printf "  rebuild       frac %.2f, %d bytes resilvered at <= %.0f MB/s\n"
       (Mods.Lab_lvm.rebuild_frac m)
       (try List.assoc "rebuild_copied_bytes" counters with Not_found -> 0)
-      rate;
+      config.Runtime.Runtime.lvm_rebuild_rate_mbps;
     Printf.printf "  journal       %d redo records; replay is %s and %s the live volume group\n"
       (List.length ops_list)
       (if Mods.Lab_lvm.Meta.consistent replayed then "consistent" else "INCONSISTENT")
@@ -392,12 +412,13 @@ let lvm_cmd =
     if journal then
       List.iter
         (fun op -> Printf.printf "    %s\n" (Mods.Lab_lvm.Meta.op_to_string op))
-        ops_list
+        ops_list;
+    Platform.export platform
   in
   Cmd.v
     (Cmd.info "lvm"
        ~doc:"Mount a mirrored volume, script one leg offline mid-run, and report degraded-mode and rebuild counters")
-    Term.(const run $ extents $ ops $ threads $ seed $ rate $ journal)
+    Term.(const run $ config_term () $ extents $ ops $ threads $ seed $ journal)
 
 (* ---------------- cache ---------------- *)
 
@@ -436,9 +457,9 @@ let cache_cmd =
     Arg.(value & opt int 25 & info [ "write-pct" ] ~doc:"percentage of ops that are writes (0-100)")
   in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let run policy capacity_mb shards readahead ops threads write_pct seed =
+  let run config policy capacity_mb shards readahead ops threads write_pct seed =
     let write_pct = Stdlib.max 0 (Stdlib.min 100 write_pct) in
-    let platform = Platform.boot ~nworkers:4 ~seed () in
+    let platform = Platform.boot ~config ~seed () in
     (match
        Platform.mount platform
          (cache_stack_spec ~policy ~capacity_mb ~shards ~readahead)
@@ -508,12 +529,13 @@ let cache_cmd =
             (Mods.Lru_cache.counter_list m, Mods.Lru_cache.shard_counter_list m)
         in
         print_counter_row "cache" counters;
-        print_counter_row "per-shard" shard_counters)
+        print_counter_row "per-shard" shard_counters);
+    Platform.export platform
   in
   Cmd.v
     (Cmd.info "cache"
        ~doc:"Drive sequential per-thread streams through a cache stack and report hit/readahead/write-back counters")
-    Term.(const run $ policy $ capacity_mb $ shards $ readahead $ ops $ threads $ write_pct $ seed)
+    Term.(const run $ config_term () $ policy $ capacity_mb $ shards $ readahead $ ops $ threads $ write_pct $ seed)
 
 (* ---------------- metrics / trace ---------------- *)
 
@@ -572,30 +594,18 @@ let drive_obs_workload platform ~ops ~threads =
                 if !finished = threads then resume ())
           done))
 
-let conf_pos =
-  Arg.(
-    value
-    & pos 0 (some file) None
-    & info [] ~docv:"CONF"
-        ~doc:
-          "Runtime configuration YAML (workers, trace_sample, trace_path, \
-           metrics_path, profile_period_us, profile_path)")
-
 let metrics_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"metrics snapshot output path (overrides the config's metrics_path)")
+  let config =
+    config_term
+      ~base:{ Runtime.Runtime.default_config with metrics_path = Some "out/metrics.jsonl" }
+      ~out:("metrics snapshot", fun c p -> { c with metrics_path = Some p })
+      ()
   in
-  let run conf ops threads seed out =
-    let cfg = parse_run_config conf in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~trace_sample:cfg.Runtime.Runtime.trace_sample ()
-    in
+  let run config ops threads seed =
+    let platform = Platform.boot ~config ~seed () in
     drive_obs_workload platform ~ops ~threads;
     let fmt_value = function
       | Obs.Metrics.V_counter n -> string_of_int n
@@ -613,54 +623,33 @@ let metrics_cmd =
     Printf.printf "%d instruments after %d ops x %d threads:\n" (List.length rows)
       ops threads;
     print_value_table rows;
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.metrics_path
-            ~default:"out/metrics.jsonl"
-    in
-    Platform.export ~metrics_path:path platform;
-    Printf.printf "wrote %s\n" path
+    Platform.export platform;
+    wrote config.Runtime.Runtime.metrics_path
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"Drive a canned cache/sched/driver stack and dump the unified metrics registry")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ out)
+    Term.(const run $ config $ ops $ threads $ seed)
 
 let trace_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let sample =
-    Arg.(value & opt int 0
-         & info [ "sample" ]
-             ~doc:"trace 1-in-N requests (overrides the config's trace_sample; defaults to 1)")
+  let config =
+    config_term
+      ~base:{ Runtime.Runtime.default_config with trace_sample = 1; trace_path = Some "out/trace.json" }
+      ~out:("Chrome trace", fun c p -> { c with trace_path = Some p })
+      ()
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"Chrome trace output path (overrides the config's trace_path)")
-  in
-  let run conf ops threads seed sample out =
-    let cfg = parse_run_config conf in
-    let sample =
-      if sample > 0 then sample
-      else if cfg.Runtime.Runtime.trace_sample > 0 then
-        cfg.Runtime.Runtime.trace_sample
-      else 1
-    in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~trace_sample:sample ()
-    in
+  let run config ops threads seed =
+    let platform = Platform.boot ~config ~seed () in
     drive_obs_workload platform ~ops ~threads;
     let evs = Obs.Trace.events (Platform.tracer platform) in
     let requests =
       List.length (List.filter (fun e -> e.Obs.Trace.ev_cat = "request") evs)
     in
     Printf.printf "traced %d events from %d requests (1-in-%d sampling):\n"
-      (List.length evs) requests sample;
+      (List.length evs) requests config.Runtime.Runtime.trace_sample;
     let tbl = Hashtbl.create 16 in
     List.iter
       (fun e ->
@@ -677,19 +666,13 @@ let trace_cmd =
            tbl [])
     in
     print_value_table rows;
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.trace_path ~default:"out/trace.json"
-    in
-    Platform.export ~trace_path:path platform;
-    Printf.printf "wrote %s (load in Perfetto / chrome://tracing)\n" path
+    Platform.export platform;
+    wrote ~note:" (load in Perfetto / chrome://tracing)" config.Runtime.Runtime.trace_path
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Trace sampled requests through a canned stack and export Chrome trace-event JSON")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ sample $ out)
+    Term.(const run $ config $ ops $ threads $ seed)
 
 (* ---------------- exemplars / blackbox ---------------- *)
 
@@ -697,17 +680,14 @@ let exemplars_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"exemplar slots (slowest K requests kept)") in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"exemplar store output path (overrides the config's exemplar_path)")
+  let config =
+    config_term
+      ~base:{ Runtime.Runtime.default_config with exemplar_k = 8; exemplar_path = Some "out/exemplars.json" }
+      ~out:("exemplar store", fun c p -> { c with exemplar_path = Some p })
+      ()
   in
-  let run conf ops threads seed k out =
-    let cfg = parse_run_config conf in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~exemplar_k:k ()
-    in
+  let run config ops threads seed =
+    let platform = Platform.boot ~config ~seed () in
     drive_obs_workload platform ~ops ~threads;
     (match Runtime.Runtime.exemplars (Platform.runtime platform) with
     | None -> Printf.printf "exemplar store disabled (k = 0)\n"
@@ -741,38 +721,30 @@ let exemplars_cmd =
             (Obs.Exemplar.dump store)
         in
         print_value_table rows);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.exemplar_path
-            ~default:"out/exemplars.json"
-    in
-    Platform.export ~exemplar_path:path platform;
-    Printf.printf "wrote %s\n" path
+    Platform.export platform;
+    wrote config.Runtime.Runtime.exemplar_path
   in
   Cmd.v
     (Cmd.info "exemplars"
        ~doc:"Capture the slowest requests' full stage anatomy through a canned stack and export the tail-exemplar store")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ k $ out)
+    Term.(const run $ config $ ops $ threads $ seed)
 
 let blackbox_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let cap = Arg.(value & opt int 512 & info [ "cap" ] ~doc:"flight-recorder ring capacity (events)") in
   let offline_ms =
     Arg.(value & opt float 2.0
          & info [ "offline-ms" ]
              ~doc:"script the device offline for this long mid-run (0 = no fault)")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"black-box dump output path (overrides the config's blackbox_path)")
+  let config =
+    config_term
+      ~base:{ Runtime.Runtime.default_config with blackbox_cap = 512; blackbox_path = Some "out/blackbox.json" }
+      ~out:("black-box dump", fun c p -> { c with blackbox_path = Some p })
+      ()
   in
-  let run conf ops threads seed cap offline_ms out =
-    let cfg = parse_run_config conf in
+  let run config ops threads seed offline_ms =
     let fault_script =
       if offline_ms <= 0.0 then None
       else
@@ -789,10 +761,7 @@ let blackbox_cmd =
               };
           ]
     in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~blackbox_cap:cap ?fault_script ()
-    in
+    let platform = Platform.boot ~config ~seed ?fault_script () in
     drive_obs_workload platform ~ops ~threads;
     (match Runtime.Runtime.blackbox (Platform.runtime platform) with
     | None -> Printf.printf "flight recorder disabled (cap = 0)\n"
@@ -819,20 +788,13 @@ let blackbox_cmd =
                tbl [])
         in
         print_value_table rows);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.blackbox_path
-            ~default:"out/blackbox.json"
-    in
-    Platform.export ~blackbox_path:path platform;
-    Printf.printf "wrote %s\n" path
+    Platform.export platform;
+    wrote config.Runtime.Runtime.blackbox_path
   in
   Cmd.v
     (Cmd.info "blackbox"
        ~doc:"Run the always-on flight recorder through a scripted device outage and export the triggered black-box dumps")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ cap $ offline_ms $ out)
+    Term.(const run $ config $ ops $ threads $ seed $ offline_ms)
 
 (* ---------------- profile / top ---------------- *)
 
@@ -840,29 +802,24 @@ let profile_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let period_us =
-    Arg.(value & opt float 50.0
-         & info [ "period-us" ] ~doc:"sampler period in microseconds")
-  in
   let top_n =
     Arg.(value & opt int 20 & info [ "top" ] ~doc:"flamegraph rows to print")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH"
-             ~doc:"profile JSON output path (overrides the config's profile_path)")
+  let config =
+    config_term
+      ~base:
+        {
+          Runtime.Runtime.default_config with
+          trace_sample = 1;
+          profile_period_ns = 50_000.0;
+          profile_path = Some "out/profile.json";
+        }
+      ~out:("profile JSON", fun c p -> { c with profile_path = Some p })
+      ()
   in
-  let run conf ops threads seed period_us top_n out =
-    let cfg = parse_run_config conf in
-    let period_ns =
-      if cfg.Runtime.Runtime.profile_period_ns > 0.0 then
-        cfg.Runtime.Runtime.profile_period_ns
-      else period_us *. 1000.0
-    in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~trace_sample:1
-        ~profile_period:period_ns ()
-    in
+  let run config ops threads seed top_n =
+    let period_ns = config.Runtime.Runtime.profile_period_ns in
+    let platform = Platform.boot ~config ~seed () in
     drive_obs_workload platform ~ops ~threads;
     let prof =
       Obs.Profile.of_events (Obs.Trace.events (Platform.tracer platform))
@@ -900,42 +857,23 @@ let profile_cmd =
                   r.Obs.Profile.tr_tail_mean_ns /. r.Obs.Profile.tr_p50_mean_ns
                 else 0.0) ))
          prof.Obs.Profile.tail);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.profile_path
-            ~default:"out/profile.json"
-    in
-    Platform.export ~profile_path:path platform;
-    Printf.printf "wrote %s\n" path
+    Platform.export platform;
+    wrote config.Runtime.Runtime.profile_path
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Continuously profile a canned stack: span-based flamegraph, tail \
           attribution, and the sampler timeline exported as profile JSON")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us $ top_n $ out)
+    Term.(const run $ config $ ops $ threads $ seed $ top_n)
 
 let top_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let period_us =
-    Arg.(value & opt float 50.0
-         & info [ "period-us" ] ~doc:"sampler period in microseconds")
-  in
-  let run conf ops threads seed period_us =
-    let cfg = parse_run_config conf in
-    let period_ns =
-      if cfg.Runtime.Runtime.profile_period_ns > 0.0 then
-        cfg.Runtime.Runtime.profile_period_ns
-      else period_us *. 1000.0
-    in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~profile_period:period_ns ()
-    in
+  let run config ops threads seed =
+    let period_ns = config.Runtime.Runtime.profile_period_ns in
+    let platform = Platform.boot ~config ~seed () in
     drive_obs_workload platform ~ops ~threads;
     match Runtime.Runtime.timeseries (Platform.runtime platform) with
     | None -> prerr_endline "profiling sampler not enabled"; exit 1
@@ -957,7 +895,8 @@ let top_cmd =
        ~doc:
          "Drive a canned stack with the continuous-profiling sampler on and \
           summarize every utilization/occupancy series")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us)
+    Term.(const run $ config_term ~base:{ Runtime.Runtime.default_config with profile_period_ns = 50_000.0 } ()
+          $ ops $ threads $ seed)
 
 (* ---------------- mods ---------------- *)
 
@@ -1006,9 +945,9 @@ let qos_cmd =
   let noisy = Arg.(value & flag & info [ "noisy" ] ~doc:"add a misbehaving bulk tenant (capped at 700 MB/s, qcap 32)") in
   let rate = Arg.(value & opt float 700.0 & info [ "rate" ] ~doc:"noisy tenant's token-bucket rate (MB/s)") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let run tenants ops noisy rate seed =
+  let run config tenants ops noisy rate seed =
     let n = Stdlib.max 1 tenants in
-    let platform = Platform.boot ~nworkers:4 ~seed () in
+    let platform = Platform.boot ~config ~seed () in
     (match Platform.mount platform qos_stack_spec with
     | Ok _ -> ()
     | Error e ->
@@ -1085,12 +1024,13 @@ let qos_cmd =
       report (2000 + i) (Printf.sprintf "tenant %d" (2000 + i))
     done;
     if n > 8 then Printf.printf "  ... %d more well-behaved tenants\n" (n - 8);
-    if noisy then report 999 "noisy 999"
+    if noisy then report 999 "noisy 999";
+    Platform.export platform
   in
   Cmd.v
     (Cmd.info "qos"
        ~doc:"Drive metered tenants through the DRR-scheduled stack and print the per-tenant QoS report")
-    Term.(const run $ tenants $ ops $ noisy $ rate $ seed)
+    Term.(const run $ config_term () $ tenants $ ops $ noisy $ rate $ seed)
 
 (* ---------------- load ---------------- *)
 
@@ -1124,11 +1064,7 @@ let load_cmd =
   let injectors = Arg.(value & opt int 16 & info [ "injectors" ] ~doc:"concurrent open-loop senders") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"read size per request") in
   let seed = Arg.(value & opt int 0x10AD & info [ "seed" ] ~doc:"simulation seed") in
-  let slo_p99 =
-    Arg.(value & opt float 0.0
-         & info [ "slo-p99" ] ~doc:"SLO p99 target in us (0 = no SLO tracking)")
-  in
-  let run rate total process injectors bytes seed slo_p99 =
+  let run config rate total process injectors bytes seed =
     let rate_ops_s = rate *. 1e3 in
     let proc =
       match process with
@@ -1145,10 +1081,7 @@ let load_cmd =
           exit 1
     in
     let injectors = Stdlib.max 1 injectors in
-    let platform =
-      Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed
-        ~slo_p99_target_us:slo_p99 ()
-    in
+    let platform = Platform.boot ~config ~seed () in
     (match Platform.mount platform load_stack_spec with
     | Ok _ -> ()
     | Error e ->
@@ -1201,21 +1134,24 @@ let load_cmd =
         Printf.printf "  %-9s %10.1f us %15.1f us   (%.2fx)\n" label c nv
           (c /. Stdlib.max 1e-9 nv))
       [ ("p50", 0.50); ("p90", 0.90); ("p99", 0.99); ("p99.9", 0.999) ];
-    if slo_p99 > 0.0 then
-      match Runtime.Runtime.slo (Platform.runtime platform) with
-      | None -> ()
-      | Some slo ->
-          let open Obs.Latrec.Slo in
-          Printf.printf
-            "  SLO (p99 <= %.0f us): budget remaining %.1f%%, burn rate %.2fx\n"
-            slo_p99
-            (100.0 *. budget_remaining slo)
-            (burn_rate slo)
+    (let slo_p99 = config.Runtime.Runtime.slo_p99_target_us in
+     if slo_p99 > 0.0 then
+       match Runtime.Runtime.slo (Platform.runtime platform) with
+       | None -> ()
+       | Some slo ->
+           let open Obs.Latrec.Slo in
+           Printf.printf
+             "  SLO (p99 <= %.0f us): budget remaining %.1f%%, burn rate %.2fx\n"
+             slo_p99
+             (100.0 *. budget_remaining slo)
+             (burn_rate slo));
+    Platform.export platform
   in
   Cmd.v
     (Cmd.info "load"
        ~doc:"Fire an open-loop arrival schedule at a stack and report CO-corrected vs naive latency")
-    Term.(const run $ rate $ total $ process $ injectors $ bytes $ seed $ slo_p99)
+    Term.(const run $ config_term ~base:{ Runtime.Runtime.default_config with worker_max_inflight = 32 } ()
+          $ rate $ total $ process $ injectors $ bytes $ seed)
 
 let () =
   let info =

@@ -1,9 +1,10 @@
-(** Runtime configuration files.
+(** Runtime configuration: the one path from YAML or the command line
+    to a {!Runtime.config}.
 
     Trusted users configure the Runtime through a YAML document (the
     paper's deployment model): worker-pool size, work-orchestration
-    policy and its parameters, the admin period, and worker polling
-    behaviour. Example:
+    policy and its parameters, the admin period, worker polling, and
+    the observability, QoS and SLO knobs. Example:
 
     {v
     workers: 8
@@ -19,17 +20,47 @@
     slo_floor_kops: 100     # throughput floor (0 = none)
     slo_error_budget: 0.01
     slo_window_ms: 1
-    load_rate_kops: 50      # open-loop harness defaults
-    load_injectors: 16
-    load_queue_cap: 4096
     policy:
       kind: dynamic        # static | round_robin | dynamic
       max_workers: 8
       threshold: 0.2
       lq_cutoff_us: 1000
-    v} *)
+    v}
 
-val of_yaml : Lab_core.Yamlite.t -> (Runtime.config, string) result
+    Every key is a row of {!knobs}; adding a knob is a {!Runtime.config}
+    field, its {!Runtime.default_config} value and one row. Parsing is
+    strict: an unknown key or an ill-typed value is an [Error] naming
+    the key, never a silent fallback to the default. *)
 
-val parse : string -> (Runtime.config, string) result
-(** Missing keys fall back to {!Runtime.default_config}. *)
+type knob = {
+  key : string;  (** YAML key, also the [KEY] of {!set} *)
+  doc : string;  (** one line, with the unit; shown by [labstor_cli --help] *)
+  get : Runtime.config -> Lab_core.Yamlite.t;
+      (** the knob's current value, in the YAML unit *)
+  set :
+    Runtime.config -> Lab_core.Yamlite.t -> (Runtime.config, string) result;
+      (** type-checks a YAML value and sets the field *)
+}
+
+val knobs : knob list
+(** One row per {!Runtime.config} field except [worker_core_base],
+    which [Platform.boot] derives from the core count. Rows apply in
+    list order. *)
+
+val with_workers : Runtime.config -> int -> Runtime.config
+(** Sets the pool size. Round-robin over the whole pool follows it: a
+    [Round_robin k] policy with [k] the old pool size, or the untouched
+    default policy, becomes [Round_robin n]. Pin round-robin to fewer
+    workers than the pool with [Static k]. *)
+
+val of_yaml :
+  ?base:Runtime.config -> Lab_core.Yamlite.t -> (Runtime.config, string) result
+(** Applies the document's keys over [base] (default
+    {!Runtime.default_config}); missing keys keep [base]'s values. *)
+
+val parse : ?base:Runtime.config -> string -> (Runtime.config, string) result
+(** {!of_yaml} on YAML text. *)
+
+val set : Runtime.config -> string -> (Runtime.config, string) result
+(** [set c "KEY=VALUE"] applies one knob, the value parsed as YAML
+    ([policy=dynamic] is shorthand for [policy: {kind: dynamic}]). *)

@@ -10,7 +10,9 @@
    value below 2^62; larger ones share the last bucket.
 
    Sum, sum of squares, min and max live in a float array, so adding a
-   sample allocates nothing. *)
+   sample allocates nothing once the bucket array exists. That array is
+   allocated by the first [add], so an idle histogram (a registered but
+   silent tenant, say) costs a few words. *)
 
 let nbuckets = 944
 
@@ -37,11 +39,11 @@ let sq_i = 1
 let lo_i = 2
 let hi_i = 3
 
-type t = { buckets : int array; mutable n : int; acc : float array }
+type t = { mutable buckets : int array; mutable n : int; acc : float array }
 
 let create () =
   {
-    buckets = Array.make nbuckets 0;
+    buckets = [||];
     n = 0;
     acc = [| 0.0; 0.0; Float.nan; Float.nan |];
   }
@@ -49,6 +51,7 @@ let create () =
 let add t x =
   let x = if Float.is_finite x then x else 0.0 in
   let i = index_of x in
+  if Array.length t.buckets = 0 then t.buckets <- Array.make nbuckets 0;
   t.buckets.(i) <- t.buckets.(i) + 1;
   t.n <- t.n + 1;
   let a = t.acc in
@@ -107,13 +110,13 @@ let percentile t p =
 
 let buckets t =
   let acc = ref [] in
-  for i = nbuckets - 1 downto 0 do
+  for i = Array.length t.buckets - 1 downto 0 do
     if t.buckets.(i) > 0 then acc := (upper_of i, t.buckets.(i)) :: !acc
   done;
   !acc
 
 let clear t =
-  Array.fill t.buckets 0 nbuckets 0;
+  Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.n <- 0;
   t.acc.(sum_i) <- 0.0;
   t.acc.(sq_i) <- 0.0;

@@ -3,7 +3,8 @@
     The one histogram of the code base: an HDR-style bucket array (each
     power of two split into 16 linear sub-buckets, values below 32
     bucketed per integer) of fixed size, so memory stays flat however
-    many samples are added. [count], [sum], [mean], [stddev], [min] and
+    many samples are added. The array is allocated by the first {!add}:
+    an empty histogram costs a few words. [count], [sum], [mean], [stddev], [min] and
     [max] are exact, computed from the raw values; only {!percentile}
     is an estimate. Non-finite samples are recorded as 0. *)
 

@@ -327,6 +327,92 @@ let test_run_config_rejects_bad () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown policy should be rejected"
 
+let expect_error ~names what = function
+  | Ok _ -> Alcotest.failf "%s should be rejected" what
+  | Error e ->
+      let n = String.length names in
+      let rec has i =
+        i + n <= String.length e && (String.sub e i n = names || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "%s: error %S does not name %S" what e names
+
+let test_run_config_strict () =
+  let open Lab_runtime in
+  let d = Runtime.default_config in
+  expect_error ~names:"busy_pol" "unknown key" (Run_config.parse "busy_pol: true");
+  expect_error ~names:"no_such_key" "unknown --set key" (Run_config.set d "no_such_key=1");
+  expect_error ~names:"workers" "workers: four" (Run_config.parse "workers: four");
+  expect_error ~names:"busy_poll" "busy_poll: 3" (Run_config.parse "busy_poll: 3");
+  expect_error ~names:"workers" "workers=four" (Run_config.set d "workers=four");
+  expect_error ~names:"trace_path" "trace_path: 3" (Run_config.parse "trace_path: 3");
+  expect_error ~names:"max_workers" "static max_workers"
+    (Run_config.parse "policy:\n  kind: static\n  max_workers: 3");
+  expect_error ~names:"workers" "missing =" (Run_config.set d "workers")
+
+(* Every row of the knob table, set to a non-default value through YAML
+   and through [set], gives the same config, and that config differs
+   from the default in that knob only (the round-robin policy follows
+   [workers]). A new row is covered without touching this test. *)
+let test_run_config_every_knob () =
+  let open Lab_runtime in
+  let d = Runtime.default_config in
+  let ok = function Ok c -> c | Error e -> Alcotest.fail e in
+  let bump = function
+    | Yamlite.Int i -> string_of_int (i + 1)
+    | Yamlite.Float f -> Printf.sprintf "%.17g" (f +. 1.5)
+    | Yamlite.Bool b -> string_of_bool (not b)
+    | Yamlite.Str s -> s ^ "x"
+    | Yamlite.Null -> "out/knob.out"
+    | _ -> "static"
+  in
+  List.iter
+    (fun (k : Run_config.knob) ->
+      let v = bump (k.get d) in
+      let c = ok (Run_config.parse (k.key ^ ": " ^ v)) in
+      Alcotest.(check bool) (k.key ^ ": yaml = set") true
+        (c = ok (Run_config.set d (k.key ^ "=" ^ v)));
+      Alcotest.(check bool) (k.key ^ " changed") true (k.get c <> k.get d);
+      Alcotest.(check int) (k.key ^ ": core base") d.worker_core_base
+        c.worker_core_base;
+      List.iter
+        (fun (o : Run_config.knob) ->
+          if o.key <> k.key && not (k.key = "workers" && o.key = "policy") then
+            Alcotest.(check bool) (k.key ^ " leaves " ^ o.key) true
+              (o.get c = o.get d))
+        Run_config.knobs)
+    Run_config.knobs
+
+(* A config that sets [workers: 8] and no policy spreads queues over all
+   eight workers, however it was built. *)
+let test_run_config_workers_policy () =
+  let open Lab_runtime in
+  let ok = function Ok c -> c | Error e -> Alcotest.fail e in
+  let busy_workers config =
+    let p = Labstor.Platform.boot ~config () in
+    let rt = Labstor.Platform.runtime p in
+    Labstor.Platform.go p (fun () ->
+        let ipc = Runtime.ipc rt in
+        for pid = 1 to 16 do
+          let conn = Lab_ipc.Ipc_manager.connect ipc ~pid ~uid:1 in
+          ignore
+            (Lab_ipc.Ipc_manager.create_qp ipc conn ~role:Lab_ipc.Qp.Primary
+               ~ordering:Lab_ipc.Qp.Ordered ())
+        done);
+    Runtime.rebalance_now rt;
+    Array.fold_left
+      (fun n w -> if Worker.queues w = [] then n else n + 1)
+      0 (Runtime.workers rt)
+  in
+  List.iter
+    (fun (label, (config : Runtime.config)) ->
+      Alcotest.(check int) (label ^ ": pool") 8 config.nworkers;
+      Alcotest.(check int) (label ^ ": workers with queues") 8 (busy_workers config))
+    [
+      ("yaml", ok (Run_config.parse "workers: 8"));
+      ("set", ok (Run_config.set Runtime.default_config "workers=8"));
+      ("record update", { Runtime.default_config with nworkers = 8 });
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Mod harness (debugging mode)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -440,6 +526,10 @@ let () =
           Alcotest.test_case "defaults" `Quick test_run_config_defaults;
           Alcotest.test_case "full document" `Quick test_run_config_full;
           Alcotest.test_case "rejects bad" `Quick test_run_config_rejects_bad;
+          Alcotest.test_case "strict keys and types" `Quick test_run_config_strict;
+          Alcotest.test_case "every knob" `Quick test_run_config_every_knob;
+          Alcotest.test_case "workers without policy" `Quick
+            test_run_config_workers_policy;
         ] );
       ( "mod-harness",
         [

@@ -535,6 +535,18 @@ let test_stats_flat_memory () =
   Alcotest.(check int) "same words after 100k adds" words_1k
     (Obj.reachable_words (Obj.repr s))
 
+(* An idle histogram owns no bucket array: a registered but silent QoS
+   tenant stays a few words. *)
+let test_stats_idle_is_small () =
+  let s = Stats.create () in
+  let idle = Obj.reachable_words (Obj.repr s) in
+  Alcotest.(check bool) (Printf.sprintf "idle histogram %d words < 64" idle) true
+    (idle < 64);
+  Stats.add s 5.0;
+  Alcotest.(check (float 0.0)) "p50 after first add" 5.0 (Stats.percentile s 50.0);
+  Stats.clear s;
+  Alcotest.(check int) "buckets empty after clear" 0 (List.length (Stats.buckets s))
+
 (* The HDR contract against the exact nearest-rank value x: the
    estimate is within x/16 + 1 of it and inside [min, max]; p0 and p100
    are exact. *)
@@ -690,6 +702,7 @@ let () =
           Alcotest.test_case "percentile add/clear" `Quick
             test_stats_percentile_add_clear;
           Alcotest.test_case "flat memory" `Quick test_stats_flat_memory;
+          Alcotest.test_case "idle histogram is small" `Quick test_stats_idle_is_small;
           QCheck_alcotest.to_alcotest prop_stats_percentile_hdr_bound;
           QCheck_alcotest.to_alcotest prop_stats_mean_bounds;
         ] );
