@@ -13,6 +13,16 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+echo "== one stage-event stream =="
+# Observers are reached only through Lab_obs.Trace: outside lib/obs/
+# nothing records into the flight recorder, offers to the exemplar
+# store, or opens/closes flow stages directly.
+if grep -rnE 'Flightrec\.(record|trigger)|Exemplar\.offer|Trace\.(open_stage|close_stage)' \
+  lib --include='*.ml' --include='*.mli' | grep -v '^lib/obs/'; then
+  echo "observer call outside lib/obs/ bypasses Lab_obs.Trace" >&2
+  exit 1
+fi
+
 echo "== fault-injection smoke (LABSTOR_SMOKE=1) =="
 LABSTOR_SMOKE=1 dune exec bench/main.exe -- faults
 

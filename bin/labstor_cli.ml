@@ -594,163 +594,149 @@ let drive_obs_workload platform ~ops ~threads =
                 if !finished = threads then resume ())
           done))
 
-let metrics_cmd =
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+(* The observability subcommands share one shape: --ops/--threads/--seed
+   with per-command defaults, the runtime config term, then [boot] →
+   the canned workload → [report] → [Platform.export], and a closing
+   line naming the [artifact] written. [boot] and [report] are terms so
+   a command can add its own flags to either. *)
+let obs_cmd name ~doc ~ops ~threads ~config ?artifact ?note
+    ?(boot = Term.const (fun ~config ~seed -> Platform.boot ~config ~seed ()))
+    report =
+  let ops = Arg.(value & opt int ops & info [ "ops" ] ~doc:"block ops per thread") in
+  let threads = Arg.(value & opt int threads & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let config =
-    config_term
-      ~base:{ Runtime.Runtime.default_config with metrics_path = Some "out/metrics.jsonl" }
-      ~out:("metrics snapshot", fun c p -> { c with metrics_path = Some p })
-      ()
-  in
-  let run config ops threads seed =
-    let platform = Platform.boot ~config ~seed () in
+  let run config ops threads seed boot report =
+    let platform = boot ~config ~seed in
     drive_obs_workload platform ~ops ~threads;
-    let fmt_value = function
-      | Obs.Metrics.V_counter n -> string_of_int n
-      | Obs.Metrics.V_gauge g -> Printf.sprintf "%.1f" g
-      | Obs.Metrics.V_histogram h ->
-          Printf.sprintf "count=%d p50=%.0f ns p99=%.0f ns p999=%.0f ns"
-            h.Obs.Metrics.hs_count h.Obs.Metrics.hs_p50 h.Obs.Metrics.hs_p99
-            h.Obs.Metrics.hs_p999
-    in
-    let rows =
-      List.map
-        (fun (k, v) -> (k, fmt_value v))
-        (Obs.Metrics.to_list (Platform.metrics platform))
-    in
-    Printf.printf "%d instruments after %d ops x %d threads:\n" (List.length rows)
-      ops threads;
-    print_value_table rows;
+    report config platform ~ops ~threads;
     Platform.export platform;
-    wrote config.Runtime.Runtime.metrics_path
+    Option.iter (fun path_of -> wrote ?note (path_of config)) artifact
   in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Drive a canned cache/sched/driver stack and dump the unified metrics registry")
-    Term.(const run $ config $ ops $ threads $ seed)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ config $ ops $ threads $ seed $ boot $ report)
+
+let metrics_cmd =
+  obs_cmd "metrics"
+    ~doc:"Drive a canned cache/sched/driver stack and dump the unified metrics registry"
+    ~ops:2000 ~threads:4
+    ~config:
+      (config_term
+         ~base:{ Runtime.Runtime.default_config with metrics_path = Some "out/metrics.jsonl" }
+         ~out:("metrics snapshot", fun c p -> { c with metrics_path = Some p })
+         ())
+    ~artifact:(fun c -> c.Runtime.Runtime.metrics_path)
+    (Term.const @@ fun _config platform ~ops ~threads ->
+      let fmt_value = function
+        | Obs.Metrics.V_counter n -> string_of_int n
+        | Obs.Metrics.V_gauge g -> Printf.sprintf "%.1f" g
+        | Obs.Metrics.V_histogram h ->
+            Printf.sprintf "count=%d p50=%.0f ns p99=%.0f ns p999=%.0f ns"
+              h.Obs.Metrics.hs_count h.Obs.Metrics.hs_p50 h.Obs.Metrics.hs_p99
+              h.Obs.Metrics.hs_p999
+      in
+      let rows =
+        List.map
+          (fun (k, v) -> (k, fmt_value v))
+          (Obs.Metrics.to_list (Platform.metrics platform))
+      in
+      Printf.printf "%d instruments after %d ops x %d threads:\n" (List.length rows)
+        ops threads;
+      print_value_table rows)
 
 let trace_cmd =
-  let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
-  let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let config =
-    config_term
-      ~base:{ Runtime.Runtime.default_config with trace_sample = 1; trace_path = Some "out/trace.json" }
-      ~out:("Chrome trace", fun c p -> { c with trace_path = Some p })
-      ()
-  in
-  let run config ops threads seed =
-    let platform = Platform.boot ~config ~seed () in
-    drive_obs_workload platform ~ops ~threads;
-    let evs = Obs.Trace.events (Platform.tracer platform) in
-    let requests =
-      List.length (List.filter (fun e -> e.Obs.Trace.ev_cat = "request") evs)
-    in
-    Printf.printf "traced %d events from %d requests (1-in-%d sampling):\n"
-      (List.length evs) requests config.Runtime.Runtime.trace_sample;
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        let key = e.Obs.Trace.ev_cat ^ ":" ^ e.Obs.Trace.ev_name in
-        let c, d = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0.0) in
-        Hashtbl.replace tbl key (c + 1, d +. e.Obs.Trace.ev_dur))
-      evs;
-    let rows =
-      List.sort compare
-        (Hashtbl.fold
-           (fun key (c, d) acc ->
-             let mean = if c = 0 then 0.0 else d /. float_of_int c in
-             (key, Printf.sprintf "%5d  mean %.0f ns" c mean) :: acc)
-           tbl [])
-    in
-    print_value_table rows;
-    Platform.export platform;
-    wrote ~note:" (load in Perfetto / chrome://tracing)" config.Runtime.Runtime.trace_path
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Trace sampled requests through a canned stack and export Chrome trace-event JSON")
-    Term.(const run $ config $ ops $ threads $ seed)
+  obs_cmd "trace"
+    ~doc:"Trace sampled requests through a canned stack and export Chrome trace-event JSON"
+    ~ops:500 ~threads:2
+    ~config:
+      (config_term
+         ~base:{ Runtime.Runtime.default_config with trace_sample = 1; trace_path = Some "out/trace.json" }
+         ~out:("Chrome trace", fun c p -> { c with trace_path = Some p })
+         ())
+    ~artifact:(fun c -> c.Runtime.Runtime.trace_path)
+    ~note:" (load in Perfetto / chrome://tracing)"
+    (Term.const @@ fun config platform ~ops:_ ~threads:_ ->
+      let evs = Obs.Trace.events (Platform.tracer platform) in
+      let requests =
+        List.length (List.filter (fun e -> e.Obs.Trace.ev_cat = "request") evs)
+      in
+      Printf.printf "traced %d events from %d requests (1-in-%d sampling):\n"
+        (List.length evs) requests config.Runtime.Runtime.trace_sample;
+      let tbl = Hashtbl.create 16 in
+      List.iter
+        (fun e ->
+          let key = e.Obs.Trace.ev_cat ^ ":" ^ e.Obs.Trace.ev_name in
+          let c, d = Option.value (Hashtbl.find_opt tbl key) ~default:(0, 0.0) in
+          Hashtbl.replace tbl key (c + 1, d +. e.Obs.Trace.ev_dur))
+        evs;
+      let rows =
+        List.sort compare
+          (Hashtbl.fold
+             (fun key (c, d) acc ->
+               let mean = if c = 0 then 0.0 else d /. float_of_int c in
+               (key, Printf.sprintf "%5d  mean %.0f ns" c mean) :: acc)
+             tbl [])
+      in
+      print_value_table rows)
 
 (* ---------------- exemplars / blackbox ---------------- *)
 
 let exemplars_cmd =
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
-  let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let config =
-    config_term
-      ~base:{ Runtime.Runtime.default_config with exemplar_k = 8; exemplar_path = Some "out/exemplars.json" }
-      ~out:("exemplar store", fun c p -> { c with exemplar_path = Some p })
-      ()
-  in
-  let run config ops threads seed =
-    let platform = Platform.boot ~config ~seed () in
-    drive_obs_workload platform ~ops ~threads;
-    (match Runtime.Runtime.exemplars (Platform.runtime platform) with
-    | None -> Printf.printf "exemplar store disabled (k = 0)\n"
-    | Some store ->
-        Printf.printf
-          "exemplars: %d stored of %d offered (%d promoted, %d recycled, %d evicted)\n"
-          (Obs.Exemplar.stored store)
-          (Obs.Exemplar.offered store)
-          (Obs.Exemplar.promoted store)
-          (Obs.Exemplar.recycled store)
-          (Obs.Exemplar.evicted store);
-        let rows =
-          List.map
-            (fun v ->
-              let stages =
-                List.filter
-                  (fun s -> s.Obs.Exemplar.s_cat = "stage")
-                  v.Obs.Exemplar.v_stages
-              in
-              let worst =
-                List.fold_left
-                  (fun (wn, wd) s ->
-                    let d = s.Obs.Exemplar.s_t1 -. s.Obs.Exemplar.s_t0 in
-                    if d > wd then (s.Obs.Exemplar.s_name, d) else (wn, wd))
-                  ("-", 0.0) stages
-              in
-              ( Printf.sprintf "req %d" v.Obs.Exemplar.v_id,
-                Printf.sprintf "%8.0f ns across %d stages, worst %s (%.0f ns)"
-                  v.Obs.Exemplar.v_latency (List.length stages) (fst worst)
-                  (snd worst) ))
-            (Obs.Exemplar.dump store)
-        in
-        print_value_table rows);
-    Platform.export platform;
-    wrote config.Runtime.Runtime.exemplar_path
-  in
-  Cmd.v
-    (Cmd.info "exemplars"
-       ~doc:"Capture the slowest requests' full stage anatomy through a canned stack and export the tail-exemplar store")
-    Term.(const run $ config $ ops $ threads $ seed)
+  obs_cmd "exemplars"
+    ~doc:"Capture the slowest requests' full stage anatomy through a canned stack and export the tail-exemplar store"
+    ~ops:2000 ~threads:4
+    ~config:
+      (config_term
+         ~base:{ Runtime.Runtime.default_config with exemplar_k = 8; exemplar_path = Some "out/exemplars.json" }
+         ~out:("exemplar store", fun c p -> { c with exemplar_path = Some p })
+         ())
+    ~artifact:(fun c -> c.Runtime.Runtime.exemplar_path)
+    (Term.const @@ fun _config platform ~ops:_ ~threads:_ ->
+      match Runtime.Runtime.exemplars (Platform.runtime platform) with
+      | None -> Printf.printf "exemplar store disabled (k = 0)\n"
+      | Some store ->
+          Printf.printf
+            "exemplars: %d stored of %d offered (%d promoted, %d recycled, %d evicted)\n"
+            (Obs.Exemplar.stored store)
+            (Obs.Exemplar.offered store)
+            (Obs.Exemplar.promoted store)
+            (Obs.Exemplar.recycled store)
+            (Obs.Exemplar.evicted store);
+          let rows =
+            List.map
+              (fun v ->
+                let stages =
+                  List.filter
+                    (fun s -> s.Obs.Exemplar.s_cat = "stage")
+                    v.Obs.Exemplar.v_stages
+                in
+                let worst =
+                  List.fold_left
+                    (fun (wn, wd) s ->
+                      let d = s.Obs.Exemplar.s_t1 -. s.Obs.Exemplar.s_t0 in
+                      if d > wd then (s.Obs.Exemplar.s_name, d) else (wn, wd))
+                    ("-", 0.0) stages
+                in
+                ( Printf.sprintf "req %d" v.Obs.Exemplar.v_id,
+                  Printf.sprintf "%8.0f ns across %d stages, worst %s (%.0f ns)"
+                    v.Obs.Exemplar.v_latency (List.length stages) (fst worst)
+                    (snd worst) ))
+              (Obs.Exemplar.dump store)
+          in
+          print_value_table rows)
 
 let blackbox_cmd =
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
-  let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let offline_ms =
     Arg.(value & opt float 2.0
          & info [ "offline-ms" ]
              ~doc:"script the device offline for this long mid-run (0 = no fault)")
   in
-  let config =
-    config_term
-      ~base:{ Runtime.Runtime.default_config with blackbox_cap = 512; blackbox_path = Some "out/blackbox.json" }
-      ~out:("black-box dump", fun c p -> { c with blackbox_path = Some p })
-      ()
-  in
-  let run config ops threads seed offline_ms =
+  (* Mid-run outage: the workload runs well past 1 ms of virtual time,
+     so requests hit the offline window and surface ENODEV — exactly
+     the trigger the recorder is for. *)
+  let boot offline_ms ~config ~seed =
     let fault_script =
       if offline_ms <= 0.0 then None
       else
-        (* Mid-run outage: the workload below runs well past 1 ms of
-           virtual time, so requests hit the offline window and surface
-           ENODEV — exactly the trigger the recorder is for. *)
         Some
           [
             Sim.Fault.Offline
@@ -761,66 +747,52 @@ let blackbox_cmd =
               };
           ]
     in
-    let platform = Platform.boot ~config ~seed ?fault_script () in
-    drive_obs_workload platform ~ops ~threads;
-    (match Runtime.Runtime.blackbox (Platform.runtime platform) with
-    | None -> Printf.printf "flight recorder disabled (cap = 0)\n"
-    | Some bb ->
-        Printf.printf
-          "flight recorder: %d events through a %d-slot ring, %d triggers, %d dumps retained\n"
-          (Obs.Flightrec.recorded bb)
-          (Obs.Flightrec.cap bb)
-          (Obs.Flightrec.triggers bb)
-          (List.length (Obs.Flightrec.dumps bb));
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun e ->
-            let c =
-              Option.value (Hashtbl.find_opt tbl e.Obs.Flightrec.e_kind)
-                ~default:0
-            in
-            Hashtbl.replace tbl e.Obs.Flightrec.e_kind (c + 1))
-          (Obs.Flightrec.events bb);
-        let rows =
-          List.sort compare
-            (Hashtbl.fold
-               (fun k c acc -> (k, Printf.sprintf "%5d in ring" c) :: acc)
-               tbl [])
-        in
-        print_value_table rows);
-    Platform.export platform;
-    wrote config.Runtime.Runtime.blackbox_path
+    Platform.boot ~config ~seed ?fault_script ()
   in
-  Cmd.v
-    (Cmd.info "blackbox"
-       ~doc:"Run the always-on flight recorder through a scripted device outage and export the triggered black-box dumps")
-    Term.(const run $ config $ ops $ threads $ seed $ offline_ms)
+  obs_cmd "blackbox"
+    ~doc:"Run the always-on flight recorder through a scripted device outage and export the triggered black-box dumps"
+    ~ops:2000 ~threads:4
+    ~config:
+      (config_term
+         ~base:{ Runtime.Runtime.default_config with blackbox_cap = 512; blackbox_path = Some "out/blackbox.json" }
+         ~out:("black-box dump", fun c p -> { c with blackbox_path = Some p })
+         ())
+    ~artifact:(fun c -> c.Runtime.Runtime.blackbox_path)
+    ~boot:Term.(const boot $ offline_ms)
+    (Term.const @@ fun _config platform ~ops:_ ~threads:_ ->
+      match Runtime.Runtime.blackbox (Platform.runtime platform) with
+      | None -> Printf.printf "flight recorder disabled (cap = 0)\n"
+      | Some bb ->
+          Printf.printf
+            "flight recorder: %d events through a %d-slot ring, %d triggers, %d dumps retained\n"
+            (Obs.Flightrec.recorded bb)
+            (Obs.Flightrec.cap bb)
+            (Obs.Flightrec.triggers bb)
+            (List.length (Obs.Flightrec.dumps bb));
+          let tbl = Hashtbl.create 16 in
+          List.iter
+            (fun e ->
+              let c =
+                Option.value (Hashtbl.find_opt tbl e.Obs.Flightrec.e_kind)
+                  ~default:0
+              in
+              Hashtbl.replace tbl e.Obs.Flightrec.e_kind (c + 1))
+            (Obs.Flightrec.events bb);
+          let rows =
+            List.sort compare
+              (Hashtbl.fold
+                 (fun k c acc -> (k, Printf.sprintf "%5d in ring" c) :: acc)
+                 tbl [])
+          in
+          print_value_table rows)
 
 (* ---------------- profile / top ---------------- *)
 
 let profile_cmd =
-  let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
-  let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let top_n =
     Arg.(value & opt int 20 & info [ "top" ] ~doc:"flamegraph rows to print")
   in
-  let config =
-    config_term
-      ~base:
-        {
-          Runtime.Runtime.default_config with
-          trace_sample = 1;
-          profile_period_ns = 50_000.0;
-          profile_path = Some "out/profile.json";
-        }
-      ~out:("profile JSON", fun c p -> { c with profile_path = Some p })
-      ()
-  in
-  let run config ops threads seed top_n =
-    let period_ns = config.Runtime.Runtime.profile_period_ns in
-    let platform = Platform.boot ~config ~seed () in
-    drive_obs_workload platform ~ops ~threads;
+  let report top_n config platform ~ops:_ ~threads:_ =
     let prof =
       Obs.Profile.of_events (Obs.Trace.events (Platform.tracer platform))
     in
@@ -829,7 +801,7 @@ let profile_cmd =
       prof.Obs.Profile.requests
       (prof.Obs.Profile.p50_ns /. 1e3)
       (prof.Obs.Profile.p99_ns /. 1e3)
-      (period_ns /. 1e3);
+      (config.Runtime.Runtime.profile_period_ns /. 1e3);
     Printf.printf "hottest stacks (self time):\n";
     let by_self =
       List.sort
@@ -856,47 +828,53 @@ let profile_cmd =
                (if r.Obs.Profile.tr_p50_mean_ns > 0.0 then
                   r.Obs.Profile.tr_tail_mean_ns /. r.Obs.Profile.tr_p50_mean_ns
                 else 0.0) ))
-         prof.Obs.Profile.tail);
-    Platform.export platform;
-    wrote config.Runtime.Runtime.profile_path
+         prof.Obs.Profile.tail)
   in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Continuously profile a canned stack: span-based flamegraph, tail \
-          attribution, and the sampler timeline exported as profile JSON")
-    Term.(const run $ config $ ops $ threads $ seed $ top_n)
+  obs_cmd "profile"
+    ~doc:
+      "Continuously profile a canned stack: span-based flamegraph, tail \
+       attribution, and the sampler timeline exported as profile JSON"
+    ~ops:500 ~threads:2
+    ~config:
+      (config_term
+         ~base:
+           {
+             Runtime.Runtime.default_config with
+             trace_sample = 1;
+             profile_period_ns = 50_000.0;
+             profile_path = Some "out/profile.json";
+           }
+         ~out:("profile JSON", fun c p -> { c with profile_path = Some p })
+         ())
+    ~artifact:(fun c -> c.Runtime.Runtime.profile_path)
+    Term.(const report $ top_n)
 
 let top_cmd =
-  let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
-  let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let run config ops threads seed =
-    let period_ns = config.Runtime.Runtime.profile_period_ns in
-    let platform = Platform.boot ~config ~seed () in
-    drive_obs_workload platform ~ops ~threads;
-    match Runtime.Runtime.timeseries (Platform.runtime platform) with
-    | None -> prerr_endline "profiling sampler not enabled"; exit 1
-    | Some ts ->
-        Printf.printf "%d series, %d ticks at %.1f us:\n"
-          (List.length (Obs.Timeseries.series_names ts))
-          (Obs.Timeseries.ticks ts) (period_ns /. 1e3);
-        print_value_table
-          (List.map
-             (fun (s : Obs.Timeseries.stat) ->
-               ( s.Obs.Timeseries.st_name,
-                 Printf.sprintf "mean %10.2f   max %10.2f   last %10.2f"
-                   s.Obs.Timeseries.st_mean s.Obs.Timeseries.st_max
-                   s.Obs.Timeseries.st_last ))
-             (Obs.Timeseries.stats ts))
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Drive a canned stack with the continuous-profiling sampler on and \
-          summarize every utilization/occupancy series")
-    Term.(const run $ config_term ~base:{ Runtime.Runtime.default_config with profile_period_ns = 50_000.0 } ()
-          $ ops $ threads $ seed)
+  obs_cmd "top"
+    ~doc:
+      "Drive a canned stack with the continuous-profiling sampler on and \
+       summarize every utilization/occupancy series"
+    ~ops:500 ~threads:2
+    ~config:
+      (config_term
+         ~base:{ Runtime.Runtime.default_config with profile_period_ns = 50_000.0 }
+         ())
+    (Term.const @@ fun config platform ~ops:_ ~threads:_ ->
+      match Runtime.Runtime.timeseries (Platform.runtime platform) with
+      | None -> prerr_endline "profiling sampler not enabled"; exit 1
+      | Some ts ->
+          Printf.printf "%d series, %d ticks at %.1f us:\n"
+            (List.length (Obs.Timeseries.series_names ts))
+            (Obs.Timeseries.ticks ts)
+            (config.Runtime.Runtime.profile_period_ns /. 1e3);
+          print_value_table
+            (List.map
+               (fun (s : Obs.Timeseries.stat) ->
+                 ( s.Obs.Timeseries.st_name,
+                   Printf.sprintf "mean %10.2f   max %10.2f   last %10.2f"
+                     s.Obs.Timeseries.st_mean s.Obs.Timeseries.st_max
+                     s.Obs.Timeseries.st_last ))
+               (Obs.Timeseries.stats ts)))
 
 (* ---------------- mods ---------------- *)
 

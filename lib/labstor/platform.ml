@@ -83,20 +83,20 @@ let boot ?(ncores = 24) ?costs ?(devices = [ Profile.Nvme ]) ?(seed = 0xC0FFEE)
   in
   (* Injected faults feed the flight recorder: each device's fault plan
      reports (now, queue, label) as a fault fires, recording a Fault
-     event and firing a per-category "fault:<label>" dump trigger. *)
-  (match Lab_runtime.Runtime.blackbox rt with
-  | Some bb ->
-      List.iter
-        (fun (_, d) ->
-          match Device.fault_plan d with
-          | None -> ()
-          | Some f ->
-              Fault.set_observer f (fun ~now ~queue ~label ->
-                  Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Fault ~now
-                    ~id:queue ~tag:label ();
-                  Lab_obs.Flightrec.trigger bb ~reason:("fault:" ^ label) ~now))
-        devs
-  | None -> ());
+     event and firing a per-category "fault:<label>" dump trigger. The
+     observer is installed only when the recorder exists, so a run
+     without one never builds the trigger reason. *)
+  let tracer = Lab_runtime.Runtime.tracer rt in
+  if Lab_obs.Trace.blackbox tracer <> None then
+    List.iter
+      (fun (_, d) ->
+        Option.iter
+          (fun f ->
+            Fault.set_observer f (fun ~now ~queue ~label ->
+                Lab_obs.Trace.event tracer Lab_obs.Flightrec.Fault ~at:now
+                  ~id:queue ~arg:0 ~tag:label ~trigger:("fault:" ^ label)))
+          (Device.fault_plan d))
+      devs;
   (* Device health is exposed as read-through gauges: the registry holds
      a closure, so exports always see the device's current counters
      without per-I/O bookkeeping on the data path. *)

@@ -93,9 +93,10 @@ type Labmod.state +=
       merged_ops : Metrics.counter;  (** merged device ops dispatched *)
       absorbed_reqs : Metrics.counter;
           (** follower requests absorbed into them *)
-      blackbox : Lab_obs.Flightrec.t option;
-          (** flight recorder: merge decisions and QoS-gate park/wake
-              record into it; [None] = one option check per site *)
+      tracer : Lab_obs.Trace.t;
+          (** stage-event stream: merge/join decisions and QoS-gate
+              park/wake go to it; one option check per site when its
+              observers are off *)
     }
 
 let name = "blkswitch_sched"
@@ -138,7 +139,7 @@ let member_result merged_result m =
    outcome back out. With no followers this degenerates to forwarding
    the original request untouched. *)
 let lead ctx ~open_batches ~merged_ops ~absorbed_reqs ~merge_window_ns
-    ~blackbox ~q req b =
+    ~tracer ~q req b =
   let s : batch = open_batches.(q) in
   let batch =
     {
@@ -166,18 +167,9 @@ let lead ctx ~open_batches ~merged_ops ~absorbed_reqs ~merge_window_ns
   | followers ->
       Metrics.incr merged_ops;
       Metrics.incr ~by:batch.bt_nmembers absorbed_reqs;
-      (match blackbox with
-      | Some bb ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
-            ~now:(Machine.now ctx.Labmod.machine)
-            ~id:req.Request.id ~arg:batch.bt_nmembers ~tag:"merge" ()
-      | None -> ());
-      (match req.Request.trace with
-      | Some fl ->
-          Lab_obs.Trace.instant fl ~name:"sched_merge" ~tid:ctx.Labmod.thread
-            ~now:(Machine.now ctx.Labmod.machine)
-            ~args:[ ("absorbed", string_of_int batch.bt_nmembers) ]
-      | None -> ());
+      Lab_obs.Trace.instant tracer req.Request.trace ~name:"sched_merge"
+        ~tag:"merge" ~id:req.Request.id ~arg:batch.bt_nmembers
+        ~tid:ctx.Labmod.thread;
       let merged =
         Request.make ~id:req.Request.id ~pid:req.Request.pid
           ~uid:req.Request.uid ~thread:req.Request.thread
@@ -222,7 +214,7 @@ let operate m ctx req =
         qcells;
         merged_ops;
         absorbed_reqs;
-        blackbox;
+        tracer;
       } ->
       (* Multi-tenant dispatch gate, ahead of the decision cost: a
          throughput-class op may only proceed while the DRR window has
@@ -237,19 +229,11 @@ let operate m ctx req =
             if Tenant.windowed table ~bytes:ib then begin
               let cell = cell_acquire qcells in
               if not (Tenant.submit table tn ~bytes:ib cell) then begin
-                (match blackbox with
-                | Some bb ->
-                    Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Park
-                      ~now:(Machine.now ctx.Labmod.machine)
-                      ~id:req.Request.id ~tag:"qos_gate" ()
-                | None -> ());
+                Lab_obs.Trace.event tracer Lab_obs.Flightrec.Park
+                  ~id:req.Request.id ~arg:0 ~tag:"qos_gate";
                 Engine.park cell;
-                match blackbox with
-                | Some bb ->
-                    Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Wake
-                      ~now:(Machine.now ctx.Labmod.machine)
-                      ~id:req.Request.id ~tag:"qos_gate" ()
-                | None -> ()
+                Lab_obs.Trace.event tracer Lab_obs.Flightrec.Wake
+                  ~id:req.Request.id ~arg:0 ~tag:"qos_gate"
               end;
               cell_release qcells cell;
               ib
@@ -331,24 +315,14 @@ let operate m ctx req =
           | Some (q, batch) ->
               req.Request.hint_hctx <- Some q;
               inflight_bytes.(q) <- inflight_bytes.(q) +. bytes;
-              (match blackbox with
-              | Some bb ->
-                  Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
-                    ~now:(Machine.now ctx.Labmod.machine)
-                    ~id:req.Request.id ~tag:"join" ()
-              | None -> ());
-              (match req.Request.trace with
-              | Some fl ->
-                  Lab_obs.Trace.instant fl ~name:"sched_join"
-                    ~tid:ctx.Labmod.thread
-                    ~now:(Machine.now ctx.Labmod.machine)
-              | None -> ());
+              Lab_obs.Trace.instant tracer req.Request.trace ~name:"sched_join"
+                ~tag:"join" ~id:req.Request.id ~arg:0 ~tid:ctx.Labmod.thread;
               finish q (join batch b)
           | None ->
               let q = steer () in
               finish q
                 (lead ctx ~open_batches ~merged_ops ~absorbed_reqs
-                   ~merge_window_ns ~blackbox ~q req b)))
+                   ~merge_window_ns ~tracer ~q req b)))
   | _ -> Request.Failed "blkswitch_sched: bad state"
 
 let merged_ops (m : Labmod.t) =
@@ -361,7 +335,8 @@ let absorbed_reqs (m : Labmod.t) =
   | State { absorbed_reqs; _ } -> Metrics.value absorbed_reqs
   | _ -> 0
 
-let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
+let factory ?metrics ?qos ?(tracer = Lab_obs.Trace.create ()) ~nqueues () :
+    Registry.factory =
  fun ~uuid ~attrs ->
   (* Probe instantiations (reserved "__probe__" uuid) must not pollute
      the registry. *)
@@ -404,7 +379,7 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
            absorbed_reqs =
              Metrics.counter ?reg:metrics
                (Printf.sprintf "mod.%s.absorbed_reqs" uuid);
-           blackbox;
+           tracer;
          })
     {
       Labmod.operate;

@@ -37,11 +37,11 @@ val absorbed_reqs : Labmod.t -> int
 val factory :
   ?metrics:Lab_obs.Metrics.t ->
   ?qos:Lab_ipc.Tenant.t ->
-  ?blackbox:Lab_obs.Flightrec.t ->
+  ?tracer:Lab_obs.Trace.t ->
   nqueues:int ->
   unit ->
   Registry.factory
 (** [?metrics] registers the merge counters under ["mod.<uuid>."];
-    [?qos] attaches the multi-tenant DRR dispatch stage. [?blackbox]
-    records merge/join decisions and QoS-gate park/wake transitions
-    into the flight recorder. *)
+    [?qos] attaches the multi-tenant DRR dispatch stage. [?tracer]
+    (default: all observers off) receives merge/join decisions and
+    QoS-gate park/wake transitions. *)

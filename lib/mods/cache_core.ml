@@ -275,11 +275,7 @@ let derived_block template op =
 
 (* Point event on the traced request's timeline (hit/miss markers). *)
 let trace_instant ctx (req : Request.t) name =
-  match req.Request.trace with
-  | Some fl ->
-      Lab_obs.Trace.instant fl ~name ~tid:ctx.Labmod.thread
-        ~now:(Machine.now ctx.Labmod.machine)
-  | None -> ()
+  Lab_obs.Trace.mark req.Request.trace ~name ~tid:ctx.Labmod.thread
 
 let write_back_run t ctx ~template (start_page, len) =
   Metrics.incr t.flush_op_count;

@@ -6,7 +6,7 @@ type backend = { blk : Lab_kernel.Blk.t; device : Device.t }
 let backend_of_device machine device =
   { blk = Lab_kernel.Blk.create machine device ~sched:Lab_kernel.Blk.Noop; device }
 
-let install ?metrics ?timeseries ?qos ?blackbox registry ~machine ~backends
+let install ?metrics ?timeseries ?qos ?tracer registry ~machine ~backends
     ~default_backend ~nworkers ~lvm_rebuild_rate_mbps =
   let default =
     match List.assoc_opt default_backend backends with
@@ -34,7 +34,7 @@ let install ?metrics ?timeseries ?qos ?blackbox registry ~machine ~backends
   let nqueues = Device.n_hw_queues default.device in
   reg "noop_sched" (Noop_sched.factory ~nqueues);
   reg "blkswitch_sched"
-    (Blkswitch_sched.factory ?metrics ?qos ?blackbox ~nqueues ());
+    (Blkswitch_sched.factory ?metrics ?qos ?tracer ~nqueues ());
   reg "lab_lvm"
     (Lab_lvm.factory ?metrics ~machine
        ~legs:(List.map (fun (bname, b) -> (bname, b.blk, b.device)) backends)

@@ -16,7 +16,7 @@ val install :
   ?metrics:Lab_obs.Metrics.t ->
   ?timeseries:Lab_obs.Timeseries.t ->
   ?qos:Lab_ipc.Tenant.t ->
-  ?blackbox:Lab_obs.Flightrec.t ->
+  ?tracer:Lab_obs.Trace.t ->
   Registry.t ->
   machine:Lab_sim.Machine.t ->
   backends:(string * backend) list ->
@@ -31,8 +31,8 @@ val install :
     ["mod.<uuid>.dirty_backlog"] probe with the profiling sampler.
     [?qos] is threaded to the [blkswitch_sched] factory, attaching the
     multi-tenant DRR dispatch stage to every instance it builds.
-    [?blackbox] is threaded to the [blkswitch_sched] factory so its
-    instances record scheduler decisions into the flight recorder.
+    [?tracer] is threaded to the [blkswitch_sched] factory so its
+    instances report scheduler decisions to the stage-event stream.
 
     Registers: [labfs], [labkvs], [lru_cache], [permissions],
     [compress], [noop_sched], [blkswitch_sched], [lab_lvm] (over all

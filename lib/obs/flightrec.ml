@@ -85,10 +85,10 @@ let recorded t = t.recorded
 let triggers t = t.triggers
 let dumps t = List.rev t.rev_dumps
 
-(* The hot path: five array stores and two integer updates. [tag]
-   should be a shared/literal string — the recorder never copies or
-   builds strings while recording. *)
-let record t kind ~now ?(id = -1) ?(arg = 0) ?(tag = "") () =
+(* The hot path: five array stores and two integer updates, with no
+   optional arguments to box. [tag] should be a shared/literal string —
+   the recorder never copies or builds strings while recording. *)
+let record t kind ~now ~id ~arg ~tag =
   if t.cap > 0 then begin
     let i = t.head in
     t.codes.(i) <- code_of_kind kind;
@@ -128,36 +128,18 @@ let events t =
   done;
   !out
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let fns v = Printf.sprintf "%.3f" v
-
 let dump_json t ~reason ~now =
   let b = Buffer.create 8192 in
   Buffer.add_string b
-    (Printf.sprintf {|{"reason":%s,"now_ns":%s,"events":[|} (jstring reason)
-       (fns now));
+    (Printf.sprintf {|{"reason":%s,"now_ns":%s,"events":[|} (Json.string reason)
+       (Json.ns now));
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
            "\n{\"kind\":%s,\"ts_ns\":%s,\"id\":%d,\"arg\":%d,\"tag\":%s}"
-           (jstring e.e_kind) (fns e.e_ts) e.e_id e.e_arg (jstring e.e_tag)))
+           (Json.string e.e_kind) (Json.ns e.e_ts) e.e_id e.e_arg (Json.string e.e_tag)))
     (events t);
   Buffer.add_string b "\n]}";
   Buffer.contents b
@@ -171,7 +153,7 @@ let dump_json t ~reason ~now =
    being crowded out by a chatty one (per-op injected faults). *)
 let trigger t ~reason ~now =
   if t.cap > 0 then begin
-    record t Trigger ~now ~tag:reason ();
+    record t Trigger ~now ~id:(-1) ~arg:0 ~tag:reason;
     t.triggers <- t.triggers + 1;
     if
       List.length t.rev_dumps < t.max_dumps

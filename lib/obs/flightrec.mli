@@ -33,10 +33,12 @@ val create : ?max_dumps:int -> cap:int -> unit -> t
     only count, since a failing run triggers in bursts and the
     earliest context is the diagnostic one. *)
 
-val record :
-  t -> kind -> now:float -> ?id:int -> ?arg:int -> ?tag:string -> unit -> unit
-(** Append one event, overwriting the oldest when full. [tag] must be
-    a shared/literal string — the recorder never copies it. *)
+val record : t -> kind -> now:float -> id:int -> arg:int -> tag:string -> unit
+(** Append one event, overwriting the oldest when full. [id] is the
+    request (or worker) id, [-1] for none; [tag] must be a
+    shared/literal string — the recorder never copies it. In the
+    runtime, only {!Trace} calls this: it owns the recorder's event
+    stream and its trigger policy. *)
 
 val trigger : t -> reason:string -> now:float -> unit
 (** Record a {!Trigger} event, then snapshot the ring into a retained

@@ -1,13 +1,4 @@
-(* Span tracer over simulated time.
-
-   A tracer collects Chrome-trace-event-style spans ("X" complete
-   events) and instants ("i") stamped with simulated-time nanoseconds.
-   Each traced request carries a [flow]: a pooled handle holding the
-   request id, the root begin timestamp, at most one currently-open
-   stage, and a fixed-capacity stage-capture buffer.  Stages telescope
-   — submit / queue_wait / dispatch / module_stack / complete / reap —
-   closing one and opening the next at the same instant, so per-request
-   stage durations sum exactly to the root "request" span.
+(* The per-request stage-event stream (see trace.mli).
 
    Sampling is deterministic: request [id] is traced iff [sample > 0]
    and a multiplicative hash of the id is 0 mod [sample].  Hashing
@@ -16,17 +7,10 @@
    stride and sample a biased cohort — every id from one client, none
    from another.
 
-   Orthogonally, an [Exemplar.t] store turns the tracer into a
-   retroactive one: when attached, *every* request gets a flow and its
-   spans are recorded into the flow's capture buffer (preallocated,
-   pooled, recycled at finish — zero allocation in steady state); only
-   sampled flows additionally emit Chrome events.  At [finish] the
-   buffer is offered to the store, which keeps the top-K slowest.
-
-   With [sample = 0] and no store the per-request cost is a single
-   option check ([Request.trace] stays [None]), and the tracer never
-   schedules events or charges simulated time, so enabling or disabling
-   it cannot change a run's timing or event count. *)
+   Flows are pooled and so is their capture buffer (parallel columns,
+   preallocated): with a store attached every request gets a flow, and
+   steady state still allocates nothing.  The recorder needs no flow —
+   it sees the same submit / finish / decision calls either way. *)
 
 type ev = {
   ev_name : string;
@@ -42,6 +26,8 @@ type ev = {
 type t = {
   sample : int;
   exemplars : Exemplar.t option;
+  blackbox : Flightrec.t option;
+  clock : unit -> float; (* simulated now, read only when observed *)
   mutable rev_events : ev list;
   mutable count : int;
   mutable pool : flow array; (* array-stack of recycled flows *)
@@ -50,6 +36,7 @@ type t = {
 
 and flow = {
   fl_tr : t;
+  mutable fl_self : flow option; (* [Some] of this flow, built once *)
   mutable fl_id : int;
   mutable fl_t0 : float;
   mutable fl_emit : bool; (* sampled -> emit Chrome events *)
@@ -65,13 +52,20 @@ and flow = {
   fl_t1s : float array;
 }
 
-let create ?(sample = 0) ?exemplars () =
-  { sample; exemplars; rev_events = []; count = 0; pool = [||]; pool_n = 0 }
+let create ?(sample = 0) ?exemplars ?blackbox ?(clock = fun () -> 0.0) () =
+  {
+    sample;
+    exemplars;
+    blackbox;
+    clock;
+    rev_events = [];
+    count = 0;
+    pool = [||];
+    pool_n = 0;
+  }
 
-let sample t = t.sample
-let enabled t = t.sample > 0
 let exemplar_store t = t.exemplars
-let capture t = t.exemplars <> None
+let blackbox t = t.blackbox
 
 (* Multiplicative hash (a 63-bit-safe odd constant from the SplitMix /
    xorshift family) decorrelates the sampling decision from id
@@ -91,21 +85,26 @@ let emit tr ev =
 let cap = Exemplar.stage_capacity
 
 let fresh_flow tr =
-  {
-    fl_tr = tr;
-    fl_id = -1;
-    fl_t0 = 0.0;
-    fl_emit = false;
-    fl_open = false;
-    fl_open_name = "";
-    fl_open_t0 = 0.0;
-    fl_n = 0;
-    fl_dropped = 0;
-    fl_names = Array.make cap "";
-    fl_cats = Array.make cap "";
-    fl_t0s = Array.make cap 0.0;
-    fl_t1s = Array.make cap 0.0;
-  }
+  let fl =
+    {
+      fl_tr = tr;
+      fl_self = None;
+      fl_id = -1;
+      fl_t0 = 0.0;
+      fl_emit = false;
+      fl_open = false;
+      fl_open_name = "";
+      fl_open_t0 = 0.0;
+      fl_n = 0;
+      fl_dropped = 0;
+      fl_names = Array.make cap "";
+      fl_cats = Array.make cap "";
+      fl_t0s = Array.make cap 0.0;
+      fl_t1s = Array.make cap 0.0;
+    }
+  in
+  fl.fl_self <- Some fl;
+  fl
 
 let acquire tr =
   if tr.pool_n > 0 then begin
@@ -125,23 +124,6 @@ let release tr fl =
   end;
   tr.pool.(tr.pool_n) <- fl;
   tr.pool_n <- tr.pool_n + 1
-
-let start t ~id ~now =
-  let em = sampled t ~id in
-  if em || t.exemplars <> None then begin
-    let fl = acquire t in
-    fl.fl_id <- id;
-    fl.fl_t0 <- now;
-    fl.fl_emit <- em;
-    fl.fl_open <- false;
-    fl.fl_n <- 0;
-    fl.fl_dropped <- 0;
-    Some fl
-  end
-  else None
-
-let flow_id fl = fl.fl_id
-let flow_t0 fl = fl.fl_t0
 
 (* ---- recording ---------------------------------------------------- *)
 
@@ -173,7 +155,8 @@ let span ?(args = []) fl ~name ~cat ~tid ~t0 ~t1 =
   if fl.fl_tr.exemplars <> None then record_stage fl ~name ~cat ~t0 ~t1;
   if fl.fl_emit then emit_span ~args fl ~name ~cat ~tid ~t0 ~t1
 
-let instant ?(args = []) fl ~name ~tid ~now =
+(* A point event on the flow; [args] is only read when it emits. *)
+let point fl ~name ~tid ~now ~args =
   if fl.fl_tr.exemplars <> None then
     record_stage fl ~name ~cat:"event" ~t0:now ~t1:now;
   if fl.fl_emit then
@@ -200,11 +183,26 @@ let close_stage fl ~tid ~now =
     span fl ~name:fl.fl_open_name ~cat:"stage" ~tid ~t0:fl.fl_open_t0 ~t1:now
   end
 
-(* Finish: close any open stage, emit the root span (sampled flows
-   only — the root is not a capture record, so the captured stage-cat
-   entries still tile the request exactly), offer the buffer to the
-   exemplar store, recycle the flow. The flow must not be used after. *)
-let finish fl ~tid ~now =
+(* A flow exists iff the id is sampled or capture is on. *)
+let start t ~id ~now =
+  let em = sampled t ~id in
+  if em || t.exemplars <> None then begin
+    let fl = acquire t in
+    fl.fl_id <- id;
+    fl.fl_t0 <- now;
+    fl.fl_emit <- em;
+    fl.fl_open <- false;
+    fl.fl_n <- 0;
+    fl.fl_dropped <- 0;
+    fl.fl_self
+  end
+  else None
+
+(* Close any open stage, emit the root span (sampled flows only — the
+   root is not a capture record, so the captured stage-cat entries
+   still tile the request exactly), offer the buffer to the exemplar
+   store, recycle the flow. The flow must not be used after. *)
+let finish_flow fl ~tid ~now =
   close_stage fl ~tid ~now;
   if fl.fl_emit then
     emit_span fl ~name:"request" ~cat:"request" ~tid ~t0:fl.fl_t0 ~t1:now;
@@ -218,6 +216,100 @@ let finish fl ~tid ~now =
   | None -> ());
   release fl.fl_tr fl
 
+(* ---- the request stream ------------------------------------------- *)
+
+(* Every call below happens at the current simulated instant, which the
+   tracer reads from its clock only once it knows an observer will use
+   it: a site passes no clock reading (which would be boxed across the
+   module boundary), so with every observer off it costs its option
+   checks and allocates nothing. *)
+
+let submit t ~id ~tid ~scheduled =
+  let fl = start t ~id ~now:scheduled in
+  if fl != None || t.blackbox != None then begin
+    let now = t.clock () in
+    (match t.blackbox with
+    | Some bb -> Flightrec.record bb Flightrec.Submit ~now ~id ~arg:0 ~tag:""
+    | None -> ());
+    match fl with
+    | Some fl ->
+        if scheduled < now then begin
+          open_stage fl ~name:"inject_lag" ~now:scheduled;
+          close_stage fl ~tid ~now
+        end;
+        open_stage fl ~name:"submit" ~now
+    | None -> ()
+  end;
+  fl
+
+let stage fl ~name ~tid =
+  match fl with
+  | Some fl ->
+      let now = fl.fl_tr.clock () in
+      close_stage fl ~tid ~now;
+      open_stage fl ~name ~now
+  | None -> ()
+
+(* The recorder's view of a settled request, and the client-visible
+   trigger policy: ENODEV (device gone) and ETIMEDOUT (time budget
+   spent) dump the black box; other failures only record. *)
+let settle bb ~id ~now ~ok ~errno =
+  match errno with
+  | Some e ->
+      Flightrec.record bb Flightrec.Errno ~now ~id ~arg:0 ~tag:e;
+      if e = "ENODEV" then Flightrec.trigger bb ~reason:"errno:ENODEV" ~now
+      else if e = "ETIMEDOUT" then
+        Flightrec.trigger bb ~reason:"errno:ETIMEDOUT" ~now
+  | None ->
+      Flightrec.record bb Flightrec.Complete ~now ~id
+        ~arg:(if ok then 0 else 1)
+        ~tag:""
+
+let finish t fl ~id ~tid ~ok ~errno =
+  match (fl, t.blackbox) with
+  | None, None -> ()
+  | _ -> (
+      let now = t.clock () in
+      (match fl with Some fl -> finish_flow fl ~tid ~now | None -> ());
+      match t.blackbox with
+      | Some bb -> settle bb ~id ~now ~ok ~errno
+      | None -> ())
+
+let instant t fl ~name ~tag ~id ~arg ~tid =
+  match (fl, t.blackbox) with
+  | None, None -> ()
+  | _ -> (
+      let now = t.clock () in
+      (match fl with
+      | Some fl ->
+          let args =
+            if fl.fl_emit && arg > 0 then [ ("absorbed", string_of_int arg) ]
+            else []
+          in
+          point fl ~name ~tid ~now ~args
+      | None -> ());
+      match t.blackbox with
+      | Some bb -> Flightrec.record bb Flightrec.Sched ~now ~id ~arg ~tag
+      | None -> ())
+
+let mark fl ~name ~tid =
+  match fl with
+  | Some fl -> point fl ~name ~tid ~now:(fl.fl_tr.clock ()) ~args:[]
+  | None -> ()
+
+let event ?at ?trigger t kind ~id ~arg ~tag =
+  match t.blackbox with
+  | Some bb -> (
+      let now = match at with Some at -> at | None -> t.clock () in
+      Flightrec.record bb kind ~now ~id ~arg ~tag;
+      match trigger with
+      | Some reason -> Flightrec.trigger bb ~reason ~now
+      | None -> ())
+  | None -> ()
+
+let deadline t ~id =
+  event ~trigger:"deadline_miss" t Flightrec.Deadline ~id ~arg:0 ~tag:""
+
 let events t = List.rev t.rev_events
 let event_count t = t.count
 
@@ -227,31 +319,15 @@ let clear t =
 
 (* --- Chrome trace-event JSON -------------------------------------- *)
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* Chrome timestamps are microseconds; "%.3f" keeps ns resolution with
    a fixed format so equal traces serialize byte-identically. *)
-let us ns = Printf.sprintf "%.3f" (ns /. 1e3)
+let us ns = Json.ns (ns /. 1e3)
 
 let event_json b ev =
   Buffer.add_string b
     (Printf.sprintf
        {|{"name":%s,"cat":%s,"ph":"%c","ts":%s,"pid":1,"tid":%d|}
-       (jstring ev.ev_name) (jstring ev.ev_cat) ev.ev_ph (us ev.ev_ts)
+       (Json.string ev.ev_name) (Json.string ev.ev_cat) ev.ev_ph (us ev.ev_ts)
        ev.ev_tid);
   if ev.ev_ph = 'X' then Buffer.add_string b (Printf.sprintf {|,"dur":%s|} (us ev.ev_dur));
   if ev.ev_ph = 'i' then Buffer.add_string b {|,"s":"t"|};
@@ -260,9 +336,9 @@ let event_json b ev =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (jstring k);
+      Buffer.add_string b (Json.string k);
       Buffer.add_char b ':';
-      Buffer.add_string b (jstring v))
+      Buffer.add_string b (Json.string v))
     args;
   Buffer.add_string b "}}"
 

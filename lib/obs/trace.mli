@@ -1,21 +1,30 @@
-(** Span tracer over simulated time.
+(** The per-request stage-event stream over simulated time.
 
-    Collects Chrome-trace-event spans and instants stamped with
-    simulated-time nanoseconds.  Each traced request carries a {!flow}
-    handle; the telescoping stage API ({!open_stage}/{!close_stage})
-    closes one stage and opens the next at the same instant, so a
-    request's stage durations sum exactly to its root "request" span.
+    One tracer is the single emitter every observer hangs off:
+    - Chrome-trace-event spans and instants for 1-in-[sample] requests;
+    - an attached {!Exemplar} store, which turns on stage capture for
+      {e every} request (a pooled fixed-capacity buffer per flow,
+      offered to the store at {!finish} — the top-K slowest survive
+      with full anatomy — and recycled: zero allocation in steady
+      state);
+    - an attached {!Flightrec} flight recorder, which logs submissions,
+      completions, errno failures, deadline misses, scheduler
+      decisions and the runtime {!event}s, and fires the black-box
+      dump triggers.
 
-    With an attached {!Exemplar} store the tracer also captures
-    retroactively: every request gets a pooled flow whose spans are
-    recorded into a fixed-capacity buffer, offered to the store at
-    {!finish} (the top-K slowest survive with full anatomy) and
-    recycled — zero allocation in steady state. Only sampled flows
-    additionally emit Chrome events.
+    A request's observer life is three calls: {!submit} starts its
+    {!flow} (present only when it is sampled or captured) and records
+    the submission; {!stage} telescopes — it closes the open stage and
+    opens the next at the same instant, so a request's stage durations
+    sum exactly to its root "request" span; {!finish} closes the flow
+    and settles the request with every consumer at once.
 
-    Tracing never schedules engine events or charges simulated compute
-    time, and with sampling and capture off every instrumentation site
-    reduces to a single option check — the tracer is invisible to a
+    Every stream call happens at the current simulated instant, which
+    the tracer reads from its clock only when an observer will use it:
+    call sites pass no timestamps. Tracing never schedules engine
+    events or charges simulated compute time, and with sampling,
+    capture and the recorder all off every site reduces to a single
+    option check and allocates nothing — the stream is invisible to a
     run's timing. *)
 
 type ev = {
@@ -30,23 +39,24 @@ type ev = {
 }
 
 type t
-(** A tracer: sampling knob, optional exemplar store, event buffer and
-    flow pool. *)
+(** A tracer: sampling knob, optional exemplar store, optional flight
+    recorder, event buffer and flow pool. *)
 
-val create : ?sample:int -> ?exemplars:Exemplar.t -> unit -> t
+val create :
+  ?sample:int ->
+  ?exemplars:Exemplar.t ->
+  ?blackbox:Flightrec.t ->
+  ?clock:(unit -> float) ->
+  unit ->
+  t
 (** [create ~sample ()] — trace 1-in-[sample] requests by hashed id;
     [sample <= 0] (the default) disables Chrome-event tracing.
-    [exemplars] attaches a tail-exemplar store and turns on
-    stage capture for {e every} request (see {!Exemplar}). *)
-
-val sample : t -> int
-val enabled : t -> bool
+    [exemplars] attaches a tail-exemplar store and turns on stage
+    capture for every request. [blackbox] attaches the flight
+    recorder. [clock] reads simulated now, in ns (default: always 0). *)
 
 val exemplar_store : t -> Exemplar.t option
-
-val capture : t -> bool
-(** [true] iff an exemplar store is attached (every request carries a
-    flow and records its stages). *)
+val blackbox : t -> Flightrec.t option
 
 val sampled : t -> id:int -> bool
 (** Deterministic: [sample > 0] and a multiplicative hash of [id] is
@@ -54,7 +64,7 @@ val sampled : t -> id:int -> bool
     strides (batched/per-client id blocks would alias a bare modulus
     and bias the cohort). *)
 
-(** {1 Flows} *)
+(** {1 Request stream} *)
 
 type flow
 (** Per-request trace context: request id, root begin time, at most
@@ -62,38 +72,65 @@ type flow
     recycled at {!finish}, so a flow must not be touched after its
     request completes. *)
 
-val start : t -> id:int -> now:float -> flow option
-(** [None] unless the id is sampled or capture is on; the result is
-    stored in [Request.trace] and travels with the request. *)
+val submit : t -> id:int -> tid:int -> scheduled:float -> flow option
+(** A request enters the runtime now, intended at [scheduled]
+    ([<= now]; open-loop injection lag). Records a [Submit] event and
+    returns the request's flow — [None] unless the id is sampled or
+    capture is on — rooted at [scheduled], with an ["inject_lag"]
+    stage covering any lag and the ["submit"] stage open. The result
+    is stored in [Request.trace] and travels with the request. *)
 
-val flow_id : flow -> int
-val flow_t0 : flow -> float
+val stage : flow option -> name:string -> tid:int -> unit
+(** Close the open stage now and open [name] at the same instant. *)
+
+val finish :
+  t -> flow option -> id:int -> tid:int -> ok:bool -> errno:string option -> unit
+(** Settle request [id] now: close the flow's open stage, emit its
+    root "request" span (sampled flows), offer the captured stages to
+    the exemplar store and recycle the flow; record [Errno] (with the
+    errno as tag) or [Complete] (arg 0 ok / 1 failed). A client-visible
+    ENODEV or ETIMEDOUT fires an ["errno:<E>"] dump trigger. *)
+
+val deadline : t -> id:int -> unit
+(** A client-side deadline miss: records [Deadline] and fires the
+    ["deadline_miss"] trigger. The request's flow is abandoned, not
+    finished. *)
+
+val instant :
+  t -> flow option -> name:string -> tag:string -> id:int -> arg:int -> tid:int -> unit
+(** A scheduler decision on request [id]: a Chrome instant [name] on
+    its flow (with an ["absorbed"] arg when [arg > 0]) and a [Sched]
+    recorder event with [tag] and [arg]. *)
+
+val mark : flow option -> name:string -> tid:int -> unit
+(** A point on the request's own timeline (cache hit/miss); flow-only,
+    never recorded. *)
 
 val span :
   ?args:(string * string) list ->
   flow -> name:string -> cat:string -> tid:int -> t0:float -> t1:float -> unit
 (** Emit a complete span [t0, t1] (sampled flows) and record it into
-    the capture buffer (capture on). *)
+    the capture buffer (capture on): per-LabMod and device spans. *)
 
-val instant : ?args:(string * string) list -> flow -> name:string -> tid:int -> now:float -> unit
-(** Emit a point event (cache hit/miss, sched merge, ...). *)
+(** {1 Runtime events} *)
 
-val open_stage : flow -> name:string -> now:float -> unit
-(** Record the begin of the named stage; replaces any open stage. *)
-
-val close_stage : flow -> tid:int -> now:float -> unit
-(** Emit the open stage as a span ending [now]; no-op when none open. *)
-
-val finish : flow -> tid:int -> now:float -> unit
-(** Close any open stage, emit the root "request" span covering the
-    flow's begin to [now] (sampled flows), offer the captured stages
-    to the exemplar store (capture on), and recycle the flow. The
-    flow must not be used afterwards. *)
+val event :
+  ?at:float ->
+  ?trigger:string ->
+  t ->
+  Flightrec.kind ->
+  id:int ->
+  arg:int ->
+  tag:string ->
+  unit
+(** A non-request event (worker and QoS-gate park/wake, injected
+    faults, SLO window rolls) for the flight recorder, stamped now or
+    at [at]; [trigger] also fires a dump trigger with that reason. *)
 
 (** {1 Export} *)
 
 val events : t -> ev list
-(** All events in emission order. *)
+(** All Chrome events in emission order. *)
 
 val event_count : t -> int
 val clear : t -> unit

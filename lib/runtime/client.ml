@@ -62,11 +62,6 @@ type t = {
      policy backs off on) and every request is stamped with the
      tenant's dense index for the scheduler's DRR stage. *)
   tenant : Tenant.tenant option;
-  (* Flight recorder (shared with the whole runtime; [None] = every
-     hook below is one option check). Client submissions, completions,
-     errno failures and deadline misses record into it; ENODEV /
-     ETIMEDOUT and deadline misses trigger black-box dumps. *)
-  bb : Lab_obs.Flightrec.t option;
 }
 
 let pid t = t.c_pid
@@ -111,7 +106,6 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     latency_hist = Metrics.histogram ~reg "client.latency_ns";
     pool = Request.Pool.create ();
     tenant = Runtime.tenant_for runtime ~uid;
-    bb = Runtime.blackbox runtime;
   }
 
 let retries t = Metrics.value t.counters.fc_retries
@@ -192,46 +186,31 @@ let rec await_completion_or_crash t qp ~req_id ~deadline_abs =
       end
       else Error `Crashed
 
-(* ---- flight-recorder hooks -----------------------------------------
-   Each is one option check when no recorder is configured; recording
-   never reads anything but the clock, so it cannot perturb a run. *)
+(* ---- the request's observer stream ----------------------------------
+   The single-request and batched paths make the same calls on the
+   runtime's tracer. The flow starts at the open-loop origin
+   ([scheduled_at]), so injection lag shows up as its own stage rather
+   than silently inflating "submit"; with every observer off each call
+   is one option check. *)
 
-let bb_submit t (req : Request.t) =
-  match t.bb with
-  | None -> ()
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Submit
-        ~now:req.Request.submitted_at ~id:req.Request.id ()
+let tracer t = Runtime.tracer t.runtime
 
-(* A settled attempt: ok/failed completions record; a client-visible
-   ENODEV (device gone) or ETIMEDOUT (time budget spent) triggers a
-   black-box dump. Deadline misses go through [bb_deadline] instead —
-   they are their own trigger category. *)
-let bb_result t ~id result =
-  match t.bb with
-  | None -> ()
-  | Some bb -> (
-      let now = Machine.now (machine t) in
-      match Request.errno_of_result result with
-      | Some e ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Errno ~now ~id ~tag:e
-            ();
-          if e = "ENODEV" then
-            Lab_obs.Flightrec.trigger bb ~reason:"errno:ENODEV" ~now
-          else if e = "ETIMEDOUT" then
-            Lab_obs.Flightrec.trigger bb ~reason:"errno:ETIMEDOUT" ~now
-      | None ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Complete ~now ~id
-            ~arg:(if Request.is_ok result then 0 else 1)
-            ())
+(* Called right after the request is built, i.e. at its
+   [submitted_at]. *)
+let observe_submit t (req : Request.t) =
+  req.Request.trace <-
+    Trace.submit (tracer t) ~id:req.Request.id ~tid:t.c_thread
+      ~scheduled:req.Request.scheduled_at
 
-let bb_deadline t ~id =
-  match t.bb with
-  | None -> ()
-  | Some bb ->
-      let now = Machine.now (machine t) in
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Deadline ~now ~id ();
-      Lab_obs.Flightrec.trigger bb ~reason:"deadline_miss" ~now
+(* "submit" ends (and the queue wait begins) once the request is in
+   the submission ring. *)
+let observe_queued t (req : Request.t) =
+  Trace.stage req.Request.trace ~name:"queue_wait" ~tid:t.c_thread
+
+let observe_done t (req : Request.t) result =
+  Trace.finish (tracer t) req.Request.trace ~id:req.Request.id ~tid:t.c_thread
+    ~ok:(Request.is_ok result)
+    ~errno:(Request.errno_of_result result)
 
 (* Request construction + LabStack/Module-Registry lookups the Runtime
    would otherwise perform. *)
@@ -293,22 +272,7 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
   | Some s0 ->
       req.Request.scheduled_at <- Float.min s0 req.Request.submitted_at
   | None -> ());
-  (* Trace context: present only when this request id is sampled, so
-     with sampling off the whole path costs one option check. The flow
-     starts at the scheduled origin; any injection lag shows up as its
-     own stage rather than silently inflating "submit". *)
-  req.Request.trace <-
-    Trace.start (Runtime.tracer t.runtime) ~id:req.Request.id
-      ~now:req.Request.scheduled_at;
-  (match req.Request.trace with
-  | Some fl ->
-      if req.Request.scheduled_at < req.Request.submitted_at then begin
-        Trace.open_stage fl ~name:"inject_lag" ~now:req.Request.scheduled_at;
-        Trace.close_stage fl ~tid:t.c_thread ~now:req.Request.submitted_at
-      end;
-      Trace.open_stage fl ~name:"submit" ~now:req.Request.submitted_at
-  | None -> ());
-  bb_submit t req;
+  observe_submit t req;
   match stack.Stack.exec_mode with
   | Stack_spec.Sync ->
       (* The whole DAG runs in the client thread: no IPC, no central
@@ -316,14 +280,9 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
          connector still builds the request and walks the namespace and
          Module Registry itself. *)
       charge t sync_dispatch_ns;
-      (match req.Request.trace with
-      | Some fl -> Trace.close_stage fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-      | None -> ());
+      Trace.stage req.Request.trace ~name:"module_stack" ~tid:t.c_thread;
       let result = Runtime.exec_request t.runtime ~thread:t.c_thread req in
-      (match req.Request.trace with
-      | Some fl -> Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-      | None -> ());
-      bb_result t ~id:req.Request.id result;
+      observe_done t req result;
       (* The DAG ran to completion in this thread, so nothing can still
          reference the request: recycle it. *)
       Request.Pool.release t.pool req;
@@ -339,14 +298,7 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
         let qp = qp_for_stack t stack in
         charge t (costs t).Costs.shmem_enqueue_ns;
         Qp.submit qp req;
-        (* "submit" ends (and the queue wait begins) once the request is
-           in the submission ring. *)
-        (match req.Request.trace with
-        | Some fl ->
-            let now = Machine.now (machine t) in
-            Trace.close_stage fl ~tid:t.c_thread ~now;
-            Trace.open_stage fl ~name:"queue_wait" ~now
-        | None -> ());
+        observe_queued t req;
         (* Deadline watchdog: wake the completion waiters at the
            deadline so a lost command cannot park us forever. *)
         let settled = ref false in
@@ -365,15 +317,11 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
         | Ok done_req ->
             (* Pull the completion cache line back to our core. *)
             charge t (costs t).Costs.shmem_cross_core_ns;
-            (match done_req.Request.trace with
-            | Some fl ->
-                Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-            | None -> ());
             let result =
               Option.value done_req.Request.result
                 ~default:(Request.Failed "no result recorded")
             in
-            bb_result t ~id:done_req.Request.id result;
+            observe_done t done_req result;
             (* Completion consumed: the Runtime is done with the record. *)
             Request.Pool.release t.pool done_req;
             settle ~ok:(Request.is_ok result);
@@ -381,7 +329,7 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
         | Error `Deadline ->
             settle ~ok:false;
             Metrics.incr t.counters.fc_deadline_misses;
-            bb_deadline t ~id:req.Request.id;
+            Trace.deadline (tracer t) ~id:req.Request.id;
             Request.failed_errno "ETIMEDOUT"
               (Printf.sprintf "request %d missed its %.0fns deadline"
                  req.Request.id t.policy.deadline_ns)
@@ -435,7 +383,7 @@ let retry_transient t (stack : Stack.t) payload ~stream ~scheduled
       Engine.wait (backoff_ns t n);
       if Machine.now (machine t) >= deadline_abs then begin
         Metrics.incr t.counters.fc_deadline_misses;
-        bb_deadline t ~id:(-1);
+        Trace.deadline (tracer t) ~id:(-1);
         Request.failed_errno "ETIMEDOUT"
           "deadline exhausted during retry backoff"
       end
@@ -500,29 +448,12 @@ let submit_batch t (stack : Stack.t) payloads =
   apply_decentralized_upgrades t;
   let qp = qp_for_stack t stack in
   let reqs = List.map (make_request t stack) payloads in
-  let tracer = Runtime.tracer t.runtime in
-  List.iter
-    (fun (r : Request.t) ->
-      r.Request.trace <-
-        Trace.start tracer ~id:r.Request.id ~now:r.Request.submitted_at;
-      (match r.Request.trace with
-      | Some fl -> Trace.open_stage fl ~name:"submit" ~now:r.Request.submitted_at
-      | None -> ());
-      bb_submit t r)
-    reqs;
+  List.iter (observe_submit t) reqs;
   charge t
     ((costs t).Costs.shmem_enqueue_ns
     *. Stdlib.float_of_int (List.length reqs));
   Qp.submit_n qp reqs;
-  let t_in_ring = Machine.now (machine t) in
-  List.iter
-    (fun (r : Request.t) ->
-      match r.Request.trace with
-      | Some fl ->
-          Trace.close_stage fl ~tid:t.c_thread ~now:t_in_ring;
-          Trace.open_stage fl ~name:"queue_wait" ~now:t_in_ring
-      | None -> ())
-    reqs;
+  List.iter (observe_queued t) reqs;
   reqs
 
 (* Reap the whole batch: fill [firsts] for every (request id -> index)
@@ -553,16 +484,11 @@ let rec reap_rounds t (stack : Stack.t) ~deadline_abs ~payloads ~pending
                 Hashtbl.remove pending req.Request.id;
                 (* Pull the completion cache line back to our core. *)
                 charge t (costs t).Costs.shmem_cross_core_ns;
-                (match req.Request.trace with
-                | Some fl ->
-                    Trace.finish fl ~tid:t.c_thread
-                      ~now:(Machine.now (machine t))
-                | None -> ());
                 let result =
                   Option.value req.Request.result
                     ~default:(Request.Failed "no result recorded")
                 in
-                bb_result t ~id:req.Request.id result;
+                observe_done t req result;
                 firsts.(i) <- Some result;
                 (* Matched and recorded: recycle the record. *)
                 Request.Pool.release t.pool req;
@@ -584,7 +510,7 @@ let rec reap_rounds t (stack : Stack.t) ~deadline_abs ~payloads ~pending
         Hashtbl.iter
           (fun id i ->
             Metrics.incr t.counters.fc_deadline_misses;
-            bb_deadline t ~id;
+            Trace.deadline (tracer t) ~id;
             firsts.(i) <-
               Some
                 (Request.failed_errno "ETIMEDOUT"

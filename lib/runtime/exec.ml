@@ -7,7 +7,9 @@ type probe = uuid:string -> exclusive_ns:float -> unit
    or schedules events, so a traced run's timing is identical to an
    untraced one.  Each module span is attached to the flow carried by
    the request the module actually saw — a derived request (record
-   copy) shares its parent's flow, a synthesized one carries none. *)
+   copy) shares its parent's flow, a synthesized one carries none.
+   The enclosing "module_stack" stage is opened and closed by the
+   caller (worker or synchronous client) on the same flow. *)
 let mod_span (r : Request.t) ~name ~uuid ~thread ~t0 ~t1 =
   match r.Request.trace with
   | Some fl ->
@@ -52,11 +54,4 @@ let run machine ~registry ~stack ~thread ?probe req =
     | nexts ->
         List.fold_left (fun _ next -> run_vertex next r) Request.Done nexts
   in
-  match req.Request.trace with
-  | None -> run_vertex (Stack.entry_uuid stack) req
-  | Some fl ->
-      let t0 = now () in
-      let result = run_vertex (Stack.entry_uuid stack) req in
-      Lab_obs.Trace.span fl ~name:"module_stack" ~cat:"stage" ~tid:thread ~t0
-        ~t1:(now ());
-      result
+  run_vertex (Stack.entry_uuid stack) req

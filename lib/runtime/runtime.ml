@@ -117,12 +117,6 @@ type t = {
   slo : Lab_obs.Latrec.Slo.t option;
       (* runtime-wide SLO over client latency; [None] (the default)
          means the request path makes exactly one option check *)
-  exemplars : Lab_obs.Exemplar.t option;
-      (* tail-exemplar store the tracer offers every finished flow to;
-         [None] = no retroactive capture *)
-  blackbox : Lab_obs.Flightrec.t option;
-      (* always-on flight recorder; [None] = every hook is one option
-         check *)
 }
 
 let machine t = t.machine
@@ -149,9 +143,9 @@ let qos t = t.qos
 
 let slo t = t.slo
 
-let exemplars t = t.exemplars
+let exemplars t = Lab_obs.Trace.exemplar_store t.tracer
 
-let blackbox t = t.blackbox
+let blackbox t = Lab_obs.Trace.blackbox t.tracer
 
 let next_request_id t =
   t.req_counter <- t.req_counter + 1;
@@ -179,12 +173,11 @@ let make_load_code machine (backend : Lab_mods.Mods_env.backend) =
     done;
     Machine.compute machine ~thread link_cpu_ns
 
-let exec_request t ~thread ?probe req =
-  let probe = match probe with Some _ -> probe | None -> t.probe in
+let exec_request t ~thread req =
   match Namespace.stack_by_id t.ns req.Request.stack_id with
   | None ->
       Request.Failed (Printf.sprintf "unknown stack id %d" req.Request.stack_id)
-  | Some stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread ?probe req
+  | Some stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread ?probe:t.probe req
 
 let set_probe t probe = t.probe <- probe
 
@@ -221,23 +214,23 @@ let prime_estimate t ~qp_id req =
 let create machine ?(config = default_config) ~backends ~default_backend () =
   let reg = Registry.create () in
   let metrics = Lab_obs.Metrics.create () in
-  (* Tail-exemplar store (exact top-K): built only when slots are
-     configured. *)
-  let exemplars =
-    if config.exemplar_k > 0 then
-      Some (Lab_obs.Exemplar.create ~k:config.exemplar_k ())
-    else None
-  in
+  (* The one stage-event stream. Its consumers are built only when
+     configured: the tail-exemplar store (exact top-K) when slots are
+     set, the flight recorder (a preallocated ring) when it has a
+     capacity; with both off and sampling 0 every hook reduces to an
+     option check. *)
   let tracer =
-    Lab_obs.Trace.create ~sample:config.trace_sample ?exemplars ()
-  in
-  (* Flight recorder: a preallocated ring, always on once configured;
-     record/trigger hooks all over the runtime reduce to one option
-     check when [blackbox_cap] is 0. *)
-  let blackbox =
-    if config.blackbox_cap > 0 then
-      Some (Lab_obs.Flightrec.create ~cap:config.blackbox_cap ())
-    else None
+    Lab_obs.Trace.create ~sample:config.trace_sample
+      ?exemplars:
+        (if config.exemplar_k > 0 then
+           Some (Lab_obs.Exemplar.create ~k:config.exemplar_k ())
+         else None)
+      ?blackbox:
+        (if config.blackbox_cap > 0 then
+           Some (Lab_obs.Flightrec.create ~cap:config.blackbox_cap ())
+         else None)
+      ~clock:(fun () -> Engine.now machine.Machine.engine)
+      ()
   in
   (* The continuous-profiling sampler. Created only when a period is
      configured: with profiling off, no Timeseries exists, no probes are
@@ -275,19 +268,19 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
   (* The flight recorder rides SLO window rolls: every closed window is
      logged, and a window burning past its budget (burn > 1) triggers a
      black-box dump. *)
-  (match (slo, blackbox) with
-  | Some s, Some bb ->
+  Option.iter
+    (fun s ->
       Lab_obs.Latrec.Slo.set_on_roll s (fun ~now ~burn ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Slo_roll ~now
+          Lab_obs.Trace.event tracer Lab_obs.Flightrec.Slo_roll ~at:now
+            ~id:(-1)
             ~arg:(Stdlib.int_of_float (burn *. 1000.0))
-            ();
-          if burn > 1.0 then
-            Lab_obs.Flightrec.trigger bb ~reason:"slo_burn" ~now)
-  | _ -> ());
+            ~tag:""
+            ?trigger:(if burn > 1.0 then Some "slo_burn" else None)))
+    slo;
   Lab_mods.Mods_env.install reg ~machine ~backends ~default_backend
     ~nworkers:config.nworkers
     ~lvm_rebuild_rate_mbps:config.lvm_rebuild_rate_mbps ~metrics ?timeseries
-    ~qos ?blackbox;
+    ~qos ~tracer;
   let default =
     match List.assoc_opt default_backend backends with
     | Some b -> b
@@ -310,7 +303,7 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
              Worker.create machine ~id:i ~thread ~exec ~qstat ~qprime
                ~spin_ns:config.worker_spin_ns ~busy_poll:config.workers_busy_poll
                ~batch_size:config.worker_batch_size
-               ~max_inflight:config.worker_max_inflight ?blackbox ())
+               ~max_inflight:config.worker_max_inflight ~tracer ())
        in
        {
          machine;
@@ -334,8 +327,6 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
          timeseries;
          qos;
          slo;
-         exemplars;
-         blackbox;
        })
   in
   let t = Lazy.force t in

@@ -116,8 +116,9 @@ val workers : t -> Worker.t array
 val config : t -> config
 
 val tracer : t -> Lab_obs.Trace.t
-(** The span tracer every client/worker/module instrumentation point
-    emits into; created with the config's [trace_sample]. *)
+(** The one stage-event stream every client/worker/module observer
+    site calls into; created with the config's [trace_sample] and
+    owning the exemplar store and flight recorder below. *)
 
 val metrics : t -> Lab_obs.Metrics.t
 (** The metrics registry: queue-pair, worker, module, client and (via
@@ -142,16 +143,17 @@ val slo : t -> Lab_obs.Latrec.Slo.t option
     {!Platform.export}. *)
 
 val exemplars : t -> Lab_obs.Exemplar.t option
-(** The tail-exemplar store, present iff the config's [exemplar_k] is
-    positive. Attached to the tracer: every finished request flow is
-    offered and the K slowest survive with full stage anatomy. *)
+(** The tracer's tail-exemplar store, present iff the config's
+    [exemplar_k] is positive: every finished request flow is offered
+    and the K slowest survive with full stage anatomy. *)
 
 val blackbox : t -> Lab_obs.Flightrec.t option
-(** The flight recorder, present iff the config's [blackbox_cap] is
-    positive. Client submit/complete/errno/deadline events, worker and
-    scheduler park/wake, SLO window rolls and injected faults all
-    record into its ring; faults, client-visible ENODEV/ETIMEDOUT,
-    deadline misses and burn rates above 1 trigger black-box dumps. *)
+(** The tracer's flight recorder, present iff the config's
+    [blackbox_cap] is positive. Client submit/complete/errno/deadline
+    events, worker and scheduler park/wake, SLO window rolls and
+    injected faults all record into its ring; faults, client-visible
+    ENODEV/ETIMEDOUT, deadline misses and burn rates above 1 trigger
+    black-box dumps. *)
 
 val register_tenant :
   t ->
@@ -201,10 +203,10 @@ val modify_mods : t -> Lab_core.Module_manager.upgrade -> unit
 val next_request_id : t -> int
 
 val exec_request :
-  t -> thread:int -> ?probe:Exec.probe -> Lab_core.Request.t -> Lab_core.Request.result
+  t -> thread:int -> Lab_core.Request.t -> Lab_core.Request.result
 (** Executes a request through the stack named by its [stack_id] —
     used by workers (async stacks) and directly by clients of
-    synchronous stacks. *)
+    synchronous stacks — under the probe installed by {!set_probe}. *)
 
 val set_probe : t -> Exec.probe option -> unit
 (** Attaches a per-LabMod timing probe to every request the workers

@@ -37,14 +37,14 @@ type t = {
      batch so the scratch never pins dispatched requests. *)
   scratch : Request.t array;
   scratch_dummy : Request.t;
-  (* Flight recorder: park/wake transitions are recorded so a black-box
+  (* Park/wake transitions go to the stage-event stream, so a black-box
      dump shows whether workers were asleep just before a trigger. *)
-  blackbox : Lab_obs.Flightrec.t option;
+  tracer : Trace.t;
 }
 
 let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     ?(qprime = fun ~qp_id:_ _ -> ()) ?(spin_ns = 5000.0) ?(busy_poll = false)
-    ?(batch_size = 1) ?(max_inflight = 16) ?blackbox () =
+    ?(batch_size = 1) ?(max_inflight = 16) ?(tracer = Trace.create ()) () =
   let batch_size = Stdlib.max 1 batch_size in
   let scratch_dummy =
     Request.make ~id:(-1) ~pid:(-1) ~uid:(-1) ~thread:(-1) ~stack_id:(-1)
@@ -74,7 +74,7 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     max_inflight = Stdlib.max 1 max_inflight;
     scratch = Array.make batch_size scratch_dummy;
     scratch_dummy;
-    blackbox;
+    tracer;
   }
 
 let id t = t.w_id
@@ -157,38 +157,23 @@ let process t qp req ~pull_ns =
   t.qprime ~qp_id:(Qp.id qp) req;
   (* Stage accounting (telescoping): the client's "queue_wait" ends the
      moment the worker dequeues; "dispatch" covers the cross-core pull,
-     "complete" the post-stack completion push. Tracing only reads the
-     clock — it never charges time or schedules events. *)
-  (match req.Request.trace with
-  | Some fl ->
-      let now = Engine.now t.machine.Machine.engine in
-      Trace.close_stage fl ~tid:t.w_thread ~now;
-      Trace.open_stage fl ~name:"dispatch" ~now
-  | None -> ());
+     "module_stack" the LabStack run, "complete" the post-stack
+     completion push. Tracing only reads the clock — it never charges
+     time or schedules events. *)
+  Trace.stage req.Request.trace ~name:"dispatch" ~tid:t.w_thread;
   Machine.compute t.machine ~thread:t.w_thread pull_ns;
   Engine.spawn t.machine.Machine.engine (fun () ->
       let t0 = Engine.now t.machine.Machine.engine in
-      (match req.Request.trace with
-      | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:t0
-      | None -> ());
+      Trace.stage req.Request.trace ~name:"module_stack" ~tid:t.w_thread;
       let result = t.exec ~thread:t.w_thread req in
       req.Request.result <- Some result;
-      (match req.Request.trace with
-      | Some fl ->
-          Trace.open_stage fl ~name:"complete"
-            ~now:(Engine.now t.machine.Machine.engine)
-      | None -> ());
+      Trace.stage req.Request.trace ~name:"complete" ~tid:t.w_thread;
       t.qstat ~qp_id:(Qp.id qp)
         ~service_ns:(Engine.now t.machine.Machine.engine -. t0);
       Machine.compute t.machine ~thread:t.w_thread (costs t).Costs.shmem_enqueue_ns;
       (* Hand the open "reap" stage to the client before the completion
          push can wake it. *)
-      (match req.Request.trace with
-      | Some fl ->
-          let now = Engine.now t.machine.Machine.engine in
-          Trace.close_stage fl ~tid:t.w_thread ~now;
-          Trace.open_stage fl ~name:"reap" ~now
-      | None -> ());
+      Trace.stage req.Request.trace ~name:"reap" ~tid:t.w_thread;
       Qp.complete qp req;
       t.done_count <- t.done_count + 1;
       t.inflight <- t.inflight - 1;
@@ -253,23 +238,14 @@ let park t =
   t.active <- t.active +. (Engine.now t.machine.Machine.engine -. t.awake_since);
   t.is_parked <- true;
   let done_before = t.done_count in
-  (match t.blackbox with
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Park
-        ~now:(Engine.now t.machine.Machine.engine)
-        ~id:t.w_id ~tag:"worker" ()
-  | None -> ());
+  Trace.event t.tracer Lab_obs.Flightrec.Park ~id:t.w_id ~arg:0 ~tag:"worker";
   let slot = ref None in
   Waitq.park t.bell slot;
   t.is_parked <- false;
   t.awake_since <- Engine.now t.machine.Machine.engine;
-  match t.blackbox with
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Wake ~now:t.awake_since
-        ~id:t.w_id
-        ~arg:(t.done_count - done_before)
-        ~tag:"worker" ()
-  | None -> ()
+  Trace.event t.tracer Lab_obs.Flightrec.Wake ~id:t.w_id
+    ~arg:(t.done_count - done_before)
+    ~tag:"worker"
 
 let start t =
   Engine.spawn t.machine.Machine.engine (fun () ->

@@ -21,7 +21,7 @@ val create :
   ?busy_poll:bool ->
   ?batch_size:int ->
   ?max_inflight:int ->
-  ?blackbox:Lab_obs.Flightrec.t ->
+  ?tracer:Lab_obs.Trace.t ->
   unit ->
   t
 (** [exec] runs a request through its stack. [qstat] reports observed
@@ -36,7 +36,9 @@ val create :
     round-robin, so batching never starves a sibling queue.
     [max_inflight] (default 16, min 1) bounds how many requests the
     worker runs concurrently as coroutines — its asynchronous window;
-    a full window parks the worker until a completion frees a slot. *)
+    a full window parks the worker until a completion frees a slot.
+    [tracer] (default: all observers off) receives the worker's request
+    stages and its park/wake events. *)
 
 val id : t -> int
 

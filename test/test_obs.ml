@@ -1,7 +1,8 @@
 (* Tests for lab_obs and its wiring: metrics registry semantics,
    span-tracer telescoping, exporter byte-stability, and the
    platform-level guarantees (trace determinism across identical runs,
-   span nesting, zero overhead / zero events with sampling off). *)
+   span nesting, observer neutrality, and every request observed
+   exactly once on the single and batched paths). *)
 
 open Labstor
 module Metrics = Lab_obs.Metrics
@@ -179,18 +180,27 @@ let test_sampling_predicate () =
     !id
   in
   Alcotest.(check bool) "start unsampled" true
-    (Trace.start tr ~id:unsampled ~now:0.0 = None)
+    (Option.is_none
+       (Trace.submit tr ~id:unsampled ~tid:0 ~scheduled:0.0))
+
+(* A tracer whose clock the test sets by hand. *)
+let manual_tracer ?blackbox ~sample () =
+  let now = ref 0.0 in
+  (Trace.create ~sample ?blackbox ~clock:(fun () -> !now) (), now)
 
 let test_stage_telescoping () =
-  let tr = Trace.create ~sample:1 () in
-  let fl = Option.get (Trace.start tr ~id:5 ~now:10.0) in
-  Trace.open_stage fl ~name:"one" ~now:10.0;
-  Trace.close_stage fl ~tid:0 ~now:25.0;
-  Trace.open_stage fl ~name:"two" ~now:25.0;
-  Trace.finish fl ~tid:0 ~now:40.0;
+  let tr, now = manual_tracer ~sample:1 () in
+  (* [submit] opens the "submit" stage; [stage] closes it and opens the
+     next at the same instant; [finish] closes the last one. *)
+  now := 10.0;
+  let fl = Trace.submit tr ~id:5 ~tid:0 ~scheduled:10.0 in
+  now := 25.0;
+  Trace.stage fl ~name:"two" ~tid:0;
+  now := 40.0;
+  Trace.finish tr fl ~id:5 ~tid:0 ~ok:true ~errno:None;
   match Trace.events tr with
   | [ one; two; root ] ->
-      Alcotest.(check string) "first stage" "one" one.Trace.ev_name;
+      Alcotest.(check string) "first stage" "submit" one.Trace.ev_name;
       Alcotest.(check (float 0.0)) "one dur" 15.0 one.Trace.ev_dur;
       Alcotest.(check (float 0.0)) "two dur" 15.0 two.Trace.ev_dur;
       Alcotest.(check string) "root" "request" root.Trace.ev_name;
@@ -201,14 +211,48 @@ let test_stage_telescoping () =
         (one.Trace.ev_dur +. two.Trace.ev_dur)
   | evs -> Alcotest.fail (Printf.sprintf "expected 3 events, got %d" (List.length evs))
 
+(* The stream owns the recorder's per-request events and its trigger
+   policy: client-visible ENODEV/ETIMEDOUT and deadline misses dump,
+   other failures only record, and flow-less requests still record. *)
+let test_trigger_policy () =
+  let bb = Flightrec.create ~cap:64 () in
+  let tr, now = manual_tracer ~blackbox:bb ~sample:0 () in
+  let settle id errno =
+    now := float_of_int id;
+    let fl = Trace.submit tr ~id ~tid:0 ~scheduled:!now in
+    Alcotest.(check bool) "no flow without sampling or capture" true
+      (Option.is_none fl);
+    Trace.finish tr fl ~id ~tid:0 ~ok:(errno = None) ~errno
+  in
+  settle 1 None;
+  settle 2 (Some "EIO");
+  Alcotest.(check int) "no trigger yet" 0 (Flightrec.triggers bb);
+  settle 3 (Some "ENODEV");
+  settle 4 (Some "ETIMEDOUT");
+  now := 5.0;
+  Trace.deadline tr ~id:5;
+  Alcotest.(check int) "three triggers" 3 (Flightrec.triggers bb);
+  let reason d = String.sub d 0 (String.index_from d 11 '"' + 1) in
+  Alcotest.(check (list string)) "dump reasons"
+    [ {|{"reason":"errno:ENODEV"|}; {|{"reason":"errno:ETIMEDOUT"|};
+      {|{"reason":"deadline_miss"|} ]
+    (List.map reason (Flightrec.dumps bb));
+  Alcotest.(check (list string)) "event kinds"
+    [ "submit"; "complete"; "submit"; "errno"; "submit"; "errno"; "trigger";
+      "submit"; "errno"; "trigger"; "deadline"; "trigger" ]
+    (List.map (fun e -> e.Flightrec.e_kind) (Flightrec.events bb))
+
 let test_chrome_json_stable () =
   let build () =
-    let tr = Trace.create ~sample:1 () in
-    let fl = Option.get (Trace.start tr ~id:2 ~now:100.0) in
-    Trace.instant fl ~name:"hit" ~tid:3 ~now:150.0;
-    Trace.span fl ~name:"mod" ~cat:"mod" ~tid:3 ~t0:120.0 ~t1:180.0
-      ~args:[ ("uuid", "m0") ];
-    Trace.finish fl ~tid:3 ~now:200.0;
+    let tr, now = manual_tracer ~sample:1 () in
+    now := 100.0;
+    let fl = Trace.submit tr ~id:2 ~tid:3 ~scheduled:100.0 in
+    now := 150.0;
+    Trace.mark fl ~name:"hit" ~tid:3;
+    Trace.span (Option.get fl) ~name:"mod" ~cat:"mod" ~tid:3 ~t0:120.0
+      ~t1:180.0 ~args:[ ("uuid", "m0") ];
+    now := 200.0;
+    Trace.finish tr fl ~id:2 ~tid:3 ~ok:true ~errno:None;
     Trace.to_chrome_json tr
   in
   let a = build () in
@@ -307,14 +351,25 @@ let test_timeseries_json_stable () =
 (* One synthetic request: root [0,20] containing stage "work" [0,10]
    containing mod "cache" [2,8]. *)
 let synthetic_trace () =
-  let tr = Trace.create ~sample:1 () in
-  let fl = Option.get (Trace.start tr ~id:2 ~now:0.0) in
-  Trace.span fl ~name:"cache" ~cat:"mod" ~tid:0 ~t0:2.0 ~t1:8.0 ~args:[];
-  Trace.open_stage fl ~name:"work" ~now:0.0;
-  Trace.close_stage fl ~tid:0 ~now:10.0;
-  Trace.open_stage fl ~name:"rest" ~now:10.0;
-  Trace.finish fl ~tid:0 ~now:20.0;
-  Trace.events tr
+  let span ~name ~cat ~t0 ~t1 =
+    {
+      Trace.ev_name = name;
+      ev_cat = cat;
+      ev_ph = 'X';
+      ev_ts = t0;
+      ev_dur = t1 -. t0;
+      ev_tid = 0;
+      ev_id = 2;
+      ev_args = [];
+    }
+  in
+  (* Emission order, as the tracer produces it. *)
+  [
+    span ~name:"cache" ~cat:"mod" ~t0:2.0 ~t1:8.0;
+    span ~name:"work" ~cat:"stage" ~t0:0.0 ~t1:10.0;
+    span ~name:"rest" ~cat:"stage" ~t0:10.0 ~t1:20.0;
+    span ~name:"request" ~cat:"request" ~t0:0.0 ~t1:20.0;
+  ]
 
 let test_profile_flamegraph () =
   let p = Profile.of_events (synthetic_trace ()) in
@@ -471,7 +526,8 @@ let test_exemplar_disabled () =
 let test_flightrec_ring () =
   let bb = Flightrec.create ~cap:4 () in
   for i = 1 to 6 do
-    Flightrec.record bb Flightrec.Submit ~now:(float_of_int i) ~id:i ()
+    Flightrec.record bb Flightrec.Submit ~now:(float_of_int i) ~id:i ~arg:0
+      ~tag:""
   done;
   Alcotest.(check int) "all recorded" 6 (Flightrec.recorded bb);
   (match Flightrec.events bb with
@@ -484,7 +540,7 @@ let test_flightrec_ring () =
   | es -> Alcotest.failf "expected 4 ring events, got %d" (List.length es));
   (* cap=0 disables: record and trigger are no-ops. *)
   let off = Flightrec.create ~cap:0 () in
-  Flightrec.record off Flightrec.Submit ~now:0.0 ();
+  Flightrec.record off Flightrec.Submit ~now:0.0 ~id:(-1) ~arg:0 ~tag:"";
   Flightrec.trigger off ~reason:"x" ~now:0.0;
   Alcotest.(check int) "disabled records nothing" 0 (Flightrec.recorded off);
   Alcotest.(check int) "disabled dumps nothing" 0
@@ -492,7 +548,7 @@ let test_flightrec_ring () =
 
 let test_flightrec_triggers () =
   let bb = Flightrec.create ~max_dumps:2 ~cap:16 () in
-  Flightrec.record bb Flightrec.Errno ~now:1.0 ~id:9 ~tag:"ENODEV" ();
+  Flightrec.record bb Flightrec.Errno ~now:1.0 ~id:9 ~arg:0 ~tag:"ENODEV";
   Flightrec.trigger bb ~reason:"errno:ENODEV" ~now:2.0;
   (* Same reason again: counted, but no second dump. *)
   Flightrec.trigger bb ~reason:"errno:ENODEV" ~now:3.0;
@@ -649,46 +705,25 @@ let test_span_nesting () =
             (residual <= 0.01 *. Float.max root.Trace.ev_dur 1.0))
     roots
 
-let test_zero_overhead_when_off () =
-  let run () =
-    let p = run_platform ~sample:0 () in
-    let machine = Platform.machine p in
-    ( Trace.event_count (Platform.tracer p),
-      Platform.now p,
-      Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine )
-  in
-  let count0, elapsed0, events0 = run () in
-  Alcotest.(check int) "no trace events" 0 count0;
-  (* A traced run of the same workload must not perturb the simulation:
-     identical virtual time and event count. *)
-  let p = run_platform ~sample:1 () in
-  let machine = Platform.machine p in
-  Alcotest.(check bool) "tracing emitted events" true
-    (Trace.event_count (Platform.tracer p) > 0);
-  Alcotest.(check (float 0.0)) "same virtual time" elapsed0 (Platform.now p);
-  Alcotest.(check int) "same event count" events0
-    (Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine)
+(* Observer neutrality for the whole stage-event stream: every
+   observer — Chrome tracing, exemplar capture, the flight recorder,
+   the profiling sampler — does its work in plain OCaml
+   between engine events (no spawns, no simulated time), so turning
+   any of them on, or all at once, must leave the schedule untouched:
+   identical event count and identical final virtual time. Each test
+   then checks its observers actually observed. *)
 
-let test_capture_neutrality () =
-  (* Exemplar capture and the flight recorder do their work in plain
-     OCaml between engine events — no spawns, no simulated time — so
-     turning both on full blast must leave the schedule untouched:
-     identical event count and identical final virtual time. *)
-  let observe p =
-    let machine = Platform.machine p in
-    ( Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine,
-      Platform.now p )
-  in
-  let off = run_platform ~sample:0 () in
-  let on =
-    run_platform ~sample:0 ~exemplar_k:8 ~blackbox_cap:256 ()
-  in
-  let events0, elapsed0 = observe off in
-  let events1, elapsed1 = observe on in
-  Alcotest.(check int) "same event count" events0 events1;
-  Alcotest.(check (float 0.0)) "same virtual time" elapsed0 elapsed1;
-  (* ... and the capture actually happened. *)
-  (match Runtime.Runtime.exemplars (Platform.runtime on) with
+let engine_fingerprint p =
+  let machine = Platform.machine p in
+  ( Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine,
+    Platform.now p )
+
+let check_tracing p ~again:_ =
+  Alcotest.(check bool) "tracing emitted events" true
+    (Trace.event_count (Platform.tracer p) > 0)
+
+let check_capture p ~again =
+  (match Runtime.Runtime.exemplars (Platform.runtime p) with
   | None -> Alcotest.fail "exemplar store missing"
   | Some store ->
       Alcotest.(check int) "every request offered" (threads * ops)
@@ -713,52 +748,183 @@ let test_capture_neutrality () =
           Alcotest.(check bool) "stages reconcile with latency" true
             (residual <= 0.01 *. Float.max v.Exemplar.v_latency 1.0))
         (Exemplar.dump store));
-  (match Runtime.Runtime.blackbox (Platform.runtime on) with
-  | None -> Alcotest.fail "flight recorder missing"
-  | Some bb ->
-      Alcotest.(check bool) "recorder saw traffic" true
-        (Flightrec.recorded bb > 0);
-      Alcotest.(check int) "clean run, no dumps" 0
-        (List.length (Flightrec.dumps bb)));
   (* Same-seed determinism extends to the new artifacts. *)
-  let again =
-    run_platform ~sample:0 ~exemplar_k:8 ~blackbox_cap:256 ()
-  in
   let json p =
     match Runtime.Runtime.exemplars (Platform.runtime p) with
     | Some s -> Exemplar.to_json s
     | None -> ""
   in
-  Alcotest.(check string) "exemplar json byte-identical" (json on) (json again)
+  Alcotest.(check string) "exemplar json byte-identical" (json p)
+    (json (again ()))
 
-let test_sampler_neutrality () =
-  (* The sampler rides the engine clock between events (it is not a
-     heap event), so enabling it must leave the simulation untouched:
-     identical event count and identical final virtual time. *)
-  let observe p =
-    let machine = Platform.machine p in
-    ( Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine,
-      Platform.now p )
-  in
-  let off = run_platform ~sample:0 () in
-  Alcotest.(check bool) "no sampler when off" true
-    (Runtime.Runtime.timeseries (Platform.runtime off) = None);
-  let on = run_platform ~sample:0 ~profile_period:25_000.0 () in
-  let events0, elapsed0 = observe off in
-  let events1, elapsed1 = observe on in
-  Alcotest.(check int) "same event count" events0 events1;
-  Alcotest.(check (float 0.0)) "same virtual time" elapsed0 elapsed1;
-  (match Runtime.Runtime.timeseries (Platform.runtime on) with
+let check_recorder p ~again:_ =
+  match Runtime.Runtime.blackbox (Platform.runtime p) with
+  | None -> Alcotest.fail "flight recorder missing"
+  | Some bb ->
+      Alcotest.(check bool) "recorder saw traffic" true
+        (Flightrec.recorded bb > 0);
+      Alcotest.(check int) "clean run, no dumps" 0
+        (List.length (Flightrec.dumps bb))
+
+let check_sampler p ~again =
+  (match Runtime.Runtime.timeseries (Platform.runtime p) with
   | None -> Alcotest.fail "sampler missing with profile_period set"
   | Some ts ->
       Alcotest.(check bool) "sampler ticked" true (Timeseries.ticks ts > 0);
       Alcotest.(check bool) "series registered" true
         (Timeseries.series_names ts <> []));
   (* Same-seed profile export is byte-identical. *)
-  let again = run_platform ~sample:0 ~profile_period:25_000.0 () in
   Alcotest.(check string) "profile json byte-identical"
-    (Platform.profile_json on)
-    (Platform.profile_json again)
+    (Platform.profile_json p)
+    (Platform.profile_json (again ()))
+
+(* One observer configuration against the all-off baseline: same
+   schedule, then the row's own observation checks. *)
+let off_run = lazy (run_platform ~sample:0 ())
+
+let check_neutral row run checks () =
+  let events0, elapsed0 = engine_fingerprint (Lazy.force off_run) in
+  let on = run () in
+  let events1, elapsed1 = engine_fingerprint on in
+  Alcotest.(check int) (row ^ ": same event count") events0 events1;
+  Alcotest.(check (float 0.0)) (row ^ ": same virtual time") elapsed0 elapsed1;
+  List.iter (fun check -> check on ~again:run) checks
+
+let test_zero_overhead_when_off () =
+  let off = Lazy.force off_run in
+  Alcotest.(check int) "no trace events" 0
+    (Trace.event_count (Platform.tracer off));
+  check_neutral "tracing"
+    (fun () -> run_platform ~sample:1 ())
+    [ check_tracing ] ()
+
+let test_capture_neutrality =
+  check_neutral "capture"
+    (fun () -> run_platform ~sample:0 ~exemplar_k:8 ~blackbox_cap:256 ())
+    [ check_capture; check_recorder ]
+
+let test_sampler_neutrality () =
+  Alcotest.(check bool) "no sampler when off" true
+    (Runtime.Runtime.timeseries (Platform.runtime (Lazy.force off_run)) = None);
+  check_neutral "sampler"
+    (fun () -> run_platform ~sample:0 ~profile_period:25_000.0 ())
+    [ check_sampler ] ()
+
+let test_observer_neutrality =
+  check_neutral "everything on"
+    (fun () ->
+      run_platform ~sample:1 ~exemplar_k:8 ~blackbox_cap:256
+        ~profile_period:25_000.0 ())
+    [ check_tracing; check_capture; check_recorder; check_sampler ]
+
+(* Per-request recorder events, counted from the ring: [recorded <=
+   cap] guarantees the ring still holds every event ever recorded. *)
+let recorder_kind_counts p =
+  match Runtime.Runtime.blackbox (Platform.runtime p) with
+  | None -> Alcotest.fail "flight recorder missing"
+  | Some bb ->
+      Alcotest.(check bool) "ring holds the whole run" true
+        (Flightrec.recorded bb <= Flightrec.cap bb);
+      let per_id kind =
+        let tbl = Hashtbl.create 64 in
+        List.iter
+          (fun e ->
+            if e.Flightrec.e_kind = kind then
+              Hashtbl.replace tbl e.Flightrec.e_id
+                (1 + Option.value (Hashtbl.find_opt tbl e.Flightrec.e_id) ~default:0))
+          (Flightrec.events bb);
+        tbl
+      in
+      (per_id "submit", per_id "complete")
+
+let check_once_per_request ~requests (submits, completes) =
+  Alcotest.(check int) "one submit per request" requests (Hashtbl.length submits);
+  Alcotest.(check int) "one complete per request" requests
+    (Hashtbl.length completes);
+  Hashtbl.iter
+    (fun id n ->
+      Alcotest.(check int) "submitted once" 1 n;
+      Alcotest.(check (option int)) "completed once" (Some 1)
+        (Hashtbl.find_opt completes id))
+    submits
+
+(* Requests without a flow (no sampling, no capture) still reach the
+   recorder: the stream's submit/finish calls record them regardless. *)
+let test_recorder_without_flows () =
+  let p = run_platform ~sample:0 ~blackbox_cap:8192 () in
+  Alcotest.(check int) "no trace events" 0
+    (Trace.event_count (Platform.tracer p));
+  check_once_per_request ~requests:(threads * ops) (recorder_kind_counts p)
+
+(* The batched path (one doorbell, one reap loop) makes the same
+   stream calls as the single-request path: every request is offered
+   to the exemplar store once, recorded once each way, and its
+   captured stages tile its latency. *)
+let test_batched_observed_once () =
+  let batch = 4 and rounds = 10 in
+  let platform =
+    Platform.boot ~nworkers:2 ~seed:0x0B5 ~exemplar_k:8 ~blackbox_cap:8192 ()
+  in
+  (match Platform.mount platform stack_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("mount: " ^ e));
+  let machine = Platform.machine platform in
+  Platform.go platform (fun () ->
+      let finished = ref 0 in
+      Lab_sim.Engine.suspend (fun resume ->
+          for th = 0 to threads - 1 do
+            Lab_sim.Engine.spawn machine.Lab_sim.Machine.engine (fun () ->
+                let c = Platform.client platform ~thread:th () in
+                for r = 0 to rounds - 1 do
+                  let ops =
+                    List.init batch (fun i ->
+                        {
+                          Runtime.Client.op_kind =
+                            (if r mod 2 = 0 then Lab_core.Request.Write
+                             else Lab_core.Request.Read);
+                          op_lba = (th * 100_000) + (r * batch * 8) + (i * 8);
+                          op_bytes = 4096;
+                        })
+                  in
+                  match
+                    Runtime.Client.block_batch c ~mount:"blk::/obs-test" ops
+                  with
+                  | Ok results ->
+                      List.iter
+                        (fun r ->
+                          Alcotest.(check bool) "batch entry ok" true
+                            (Result.is_ok r))
+                        results
+                  | Error e -> Alcotest.fail e
+                done;
+                incr finished;
+                if !finished = threads then resume ())
+          done));
+  let requests = threads * rounds * batch in
+  (match Runtime.Runtime.exemplars (Platform.runtime platform) with
+  | None -> Alcotest.fail "exemplar store missing"
+  | Some store ->
+      Alcotest.(check int) "every request offered once" requests
+        (Exemplar.offered store);
+      List.iter
+        (fun v ->
+          let stages =
+            List.filter (fun s -> s.Exemplar.s_cat = "stage") v.Exemplar.v_stages
+          in
+          Alcotest.(check (list string))
+            "same stages as the single-request path"
+            [ "submit"; "queue_wait"; "dispatch"; "module_stack"; "complete"; "reap" ]
+            (List.map (fun s -> s.Exemplar.s_name) stages);
+          let sum =
+            List.fold_left
+              (fun acc s -> acc +. (s.Exemplar.s_t1 -. s.Exemplar.s_t0))
+              0.0 stages
+          in
+          Alcotest.(check bool) "batched stages tile latency" true
+            (Float.abs (v.Exemplar.v_latency -. sum)
+            <= 0.01 *. Float.max v.Exemplar.v_latency 1.0))
+        (Exemplar.dump store));
+  check_once_per_request ~requests (recorder_kind_counts platform)
 
 let () =
   Alcotest.run "obs"
@@ -796,6 +962,7 @@ let () =
         [
           Alcotest.test_case "sampling predicate" `Quick test_sampling_predicate;
           Alcotest.test_case "stage telescoping" `Quick test_stage_telescoping;
+          Alcotest.test_case "trigger policy" `Quick test_trigger_policy;
           Alcotest.test_case "chrome json stable" `Quick test_chrome_json_stable;
         ] );
       ( "exemplar",
@@ -824,5 +991,11 @@ let () =
             test_capture_neutrality;
           Alcotest.test_case "sampler neutrality" `Quick
             test_sampler_neutrality;
+          Alcotest.test_case "observer neutrality" `Quick
+            test_observer_neutrality;
+          Alcotest.test_case "recorder without flows" `Quick
+            test_recorder_without_flows;
+          Alcotest.test_case "batched path observed once" `Quick
+            test_batched_observed_once;
         ] );
     ]
