@@ -49,30 +49,22 @@ type run = { elapsed : float; events : int; spans : Obs.Trace.ev list }
 
 let run_case ~seed ~ops ~sample =
   let platform = Platform.boot ~nworkers:4 ~seed ~trace_sample:sample () in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_anatomy2: mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let rng = Rng.create (seed lxor (th * 7919)) in
-                for i = 1 to ops do
-                  let lba = Rng.int rng 262144 in
-                  if i mod 4 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~mount:"blk::/anatomy"
-                         ~lba ~bytes)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~mount:"blk::/anatomy"
-                         ~lba ~bytes)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
+      Engine.join machine.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          let rng = Rng.create (seed lxor (th * 7919)) in
+          for i = 1 to ops do
+            let lba = Rng.int rng 262144 in
+            if i mod 4 = 0 then
+              ignore
+                (Runtime.Client.write_block c ~mount:"blk::/anatomy"
+                   ~lba ~bytes)
+            else
+              ignore
+                (Runtime.Client.read_block c ~mount:"blk::/anatomy"
+                   ~lba ~bytes)
           done));
   {
     elapsed = Platform.now platform;

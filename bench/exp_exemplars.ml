@@ -74,9 +74,7 @@ let run_point ~seed ~rate_kops ~total ~obs ?fault_script ?(slo = false) () =
             ~exemplar_k:32 ~blackbox_cap:4096 ()
   in
   let platform = boot () in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_exemplars: mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   let latencies = ref [] in
   let res =

@@ -48,33 +48,25 @@ let run_case ~rate ~seed ~ops =
       ?fault_rates:(if rate > 0.0 then Some rates else None)
       ()
   in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_faults: mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   let lat = Stats.create () in
   let failed = ref 0 in
   let clients = ref [] in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                clients := c :: !clients;
-                let rng = Rng.create (seed lxor (th * 7919)) in
-                for _ = 1 to ops do
-                  let lba = Rng.int rng 262144 in
-                  let t0 = Machine.now machine in
-                  match
-                    Runtime.Client.write_block c ~mount:"blk::/faults" ~lba
-                      ~bytes
-                  with
-                  | Ok _ -> Stats.add lat (Machine.now machine -. t0)
-                  | Error _ -> incr failed
-                done;
-                incr finished;
-                if !finished = threads then resume ())
+      Engine.join machine.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          clients := c :: !clients;
+          let rng = Rng.create (seed lxor (th * 7919)) in
+          for _ = 1 to ops do
+            let lba = Rng.int rng 262144 in
+            let t0 = Machine.now machine in
+            match
+              Runtime.Client.write_block c ~mount:"blk::/faults" ~lba
+                ~bytes
+            with
+            | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+            | Error _ -> incr failed
           done));
   let elapsed = Platform.now platform in
   let total = ops * threads in

@@ -65,9 +65,7 @@ type point = {
 
 let run_point ~seed ~rate_kops ~total =
   let platform = Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed () in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_load: mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   let res =
     Platform.go platform (fun () ->

@@ -73,15 +73,9 @@ let lvm_mod platform =
 let spawn_clients platform f =
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                f th c;
-                incr finished;
-                if !finished = threads then resume ())
-          done))
+      Engine.join machine.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          f th c))
 
 type mirror_outcome = {
   healthy_p99_us : float;
@@ -104,9 +98,7 @@ let run_mirror ~seed ~extents ~ops =
       ~devices:[ Lab_device.Profile.Nvme; Lab_device.Profile.Nvme ]
       ()
   in
-  (match Platform.mount platform mirror_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_lvm: mount: " ^ e));
+  ignore (Platform.mount_exn platform mirror_spec);
   let machine = Platform.machine platform in
   let mount = "blk::/vol" in
   let span = extents * extent_blocks in
@@ -214,9 +206,7 @@ let run_mirror ~seed ~extents ~ops =
 (* Bandwidth-bound sequential stream through a stack; returns GB/s. *)
 let run_stream ~seed ~spec ~mount ~devices ~ops_per_thread =
   let platform = Platform.boot ~nworkers:4 ~seed ~devices () in
-  (match Platform.mount platform spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_lvm: mount: " ^ e));
+  ignore (Platform.mount_exn platform spec);
   let big = 262144 in
   let blocks_per_op = big / 512 in
   let t0 = Platform.now platform in

@@ -216,9 +216,7 @@ type e2e_out = {
 
 let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
   let platform = Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed () in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("exp_qos: mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   let eng = machine.Machine.engine in
   for i = 0 to n_tenants - 1 do

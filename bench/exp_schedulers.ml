@@ -34,37 +34,31 @@ let linux_case sched ~colocated =
       let blk = Blk.create m dev ~sched in
       let api = Api.create m blk in
       let deadline = duration_ns in
-      let finished = ref 0 in
-      let total = l_threads + if colocated then t_threads else 0 in
-      Engine.suspend (fun resume ->
-          if colocated then
-            for th = 0 to t_threads - 1 do
-              Engine.spawn m.Machine.engine (fun () ->
-                  let rng = Rng.create (900 + th) in
-                  while Machine.now m < deadline do
-                    let offs =
-                      Array.init t_iodepth (fun _ -> Rng.int rng 100000 * 65536)
-                    in
-                    Api.submit_batch_wait api ~api:Api.Io_uring ~thread:th
-                      ~kind:Device.Write ~offs ~bytes:65536
-                  done;
-                  incr finished;
-                  if !finished = total then resume ())
-            done;
-          for th = t_threads to t_threads + l_threads - 1 do
-            Engine.spawn m.Machine.engine (fun () ->
-                let rng = Rng.create (40 + th) in
-                while Machine.now m < deadline do
-                  let off = Rng.int rng 100000 * 4096 in
-                  let t0 = Machine.now m in
-                  Api.submit_wait api ~api:Api.Io_uring ~thread:th
-                    ~kind:Device.Write ~off ~bytes:4096;
-                  Stats.add lat (Machine.now m -. t0);
-                  Engine.wait 50_000.0
-                done;
-                incr finished;
-                if !finished = total then resume ())
-          done);
+      let n_t = if colocated then t_threads else 0 in
+      Engine.join m.Machine.engine (n_t + l_threads) (fun i ->
+          if i < n_t then begin
+            let th = i in
+            let rng = Rng.create (900 + th) in
+            while Machine.now m < deadline do
+              let offs =
+                Array.init t_iodepth (fun _ -> Rng.int rng 100000 * 65536)
+              in
+              Api.submit_batch_wait api ~api:Api.Io_uring ~thread:th
+                ~kind:Device.Write ~offs ~bytes:65536
+            done
+          end
+          else begin
+            let th = t_threads + i - n_t in
+            let rng = Rng.create (40 + th) in
+            while Machine.now m < deadline do
+              let off = Rng.int rng 100000 * 4096 in
+              let t0 = Machine.now m in
+              Api.submit_wait api ~api:Api.Io_uring ~thread:th
+                ~kind:Device.Write ~off ~bytes:4096;
+              Stats.add lat (Machine.now m -. t0);
+              Engine.wait 50_000.0
+            done
+          end);
       result := Some (Stats.mean lat, Stats.percentile lat 99.0));
   Machine.run m;
   Option.get !result
@@ -110,44 +104,38 @@ let lab_case sched_mod ~colocated =
   let result = ref None in
   Machine.spawn machine (fun () ->
       let deadline = duration_ns in
-      let finished = ref 0 in
-      let total = l_threads + if colocated then t_threads * t_iodepth else 0 in
-      Engine.suspend (fun resume ->
-          if colocated then
-            (* I/O depth as parallel streams: t_threads x t_iodepth
-               writers, each its own client/queue pair. *)
-            for slot = 0 to (t_threads * t_iodepth) - 1 do
-              Engine.spawn machine.Machine.engine (fun () ->
-                  let th = slot mod t_threads in
-                  let c =
-                    Runtime.Client.connect rt ~pid:(2000 + slot) ~uid:1 ~thread:th ()
-                  in
-                  let rng = Rng.create (1300 + slot) in
-                  while Machine.now machine < deadline do
-                    let lba = Rng.int rng 100000 * 16 in
-                    ignore
-                      (Runtime.Client.write_block c ~mount:"blk::/sched" ~lba
-                         ~bytes:65536)
-                  done;
-                  incr finished;
-                  if !finished = total then resume ())
-            done;
-          for th = t_threads to t_threads + l_threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Runtime.Client.connect rt ~pid:(3000 + th) ~uid:1 ~thread:th () in
-                let rng = Rng.create (50 + th) in
-                while Machine.now machine < deadline do
-                  let lba = Rng.int rng 100000 in
-                  let t0 = Machine.now machine in
-                  ignore
-                    (Runtime.Client.write_block c ~mount:"blk::/sched" ~lba
-                       ~bytes:4096);
-                  Stats.add lat (Machine.now machine -. t0);
-                  Engine.wait 50_000.0
-                done;
-                incr finished;
-                if !finished = total then resume ())
-          done);
+      (* I/O depth as parallel streams: t_threads x t_iodepth
+         writers, each its own client/queue pair. *)
+      let n_t = if colocated then t_threads * t_iodepth else 0 in
+      Engine.join machine.Machine.engine (n_t + l_threads) (fun i ->
+          if i < n_t then begin
+            let slot = i in
+            let th = slot mod t_threads in
+            let c =
+              Runtime.Client.connect rt ~pid:(2000 + slot) ~uid:1 ~thread:th ()
+            in
+            let rng = Rng.create (1300 + slot) in
+            while Machine.now machine < deadline do
+              let lba = Rng.int rng 100000 * 16 in
+              ignore
+                (Runtime.Client.write_block c ~mount:"blk::/sched" ~lba
+                   ~bytes:65536)
+            done
+          end
+          else begin
+            let th = t_threads + i - n_t in
+            let c = Runtime.Client.connect rt ~pid:(3000 + th) ~uid:1 ~thread:th () in
+            let rng = Rng.create (50 + th) in
+            while Machine.now machine < deadline do
+              let lba = Rng.int rng 100000 in
+              let t0 = Machine.now machine in
+              ignore
+                (Runtime.Client.write_block c ~mount:"blk::/sched" ~lba
+                   ~bytes:4096);
+              Stats.add lat (Machine.now machine -. t0);
+              Engine.wait 50_000.0
+            done
+          end);
       result := Some (Stats.mean lat, Stats.percentile lat 99.0));
   Machine.run ~until:(duration_ns *. 3.0) machine;
   match !result with Some r -> r | None -> failwith "scheduler bench did not finish"

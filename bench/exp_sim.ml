@@ -27,6 +27,7 @@
    shrinks the workload for CI. Writes BENCH_sim.json. *)
 
 open Lab_sim
+open Lab_legacy
 
 let loops = 256
 

@@ -19,11 +19,11 @@ let test_ring =
 let test_heap =
   Test.make ~name:"event heap push+pop (256)"
     (Staged.stage (fun () ->
-         let h = Lab_sim.Heap.create ~cmp:Int.compare () in
+         let h = Lab_legacy.Heap.create ~cmp:Int.compare () in
          for i = 0 to 255 do
-           Lab_sim.Heap.push h ((i * 7919) land 1023) ()
+           Lab_legacy.Heap.push h ((i * 7919) land 1023) ()
          done;
-         while Lab_sim.Heap.pop h <> None do
+         while Lab_legacy.Heap.pop h <> None do
            ()
          done))
 

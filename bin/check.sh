@@ -125,4 +125,14 @@ dune exec bin/labstor_cli.exe -- qos --tenants 4 --ops 50 --noisy > /dev/null
 echo "== labstor_cli load smoke =="
 dune exec bin/labstor_cli.exe -- load --rate 100 --total 500 --set slo_p99_target_us=100 > /dev/null
 
+echo "== labstor_cli zero-count smoke =="
+# A zero count is a usage error, not a run that never ends: the command
+# must fail, and not by timing out (timeout(1) exits 124).
+rc=0
+timeout 60 dune exec bin/labstor_cli.exe -- faults --threads 0 > /dev/null 2>&1 || rc=$?
+if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ]; then
+  echo "labstor_cli faults --threads 0 exited $rc, want a usage error" >&2
+  exit 1
+fi
+
 echo "check: OK"

@@ -18,6 +18,30 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Every count flag (--threads, --ops, --tenants, --injectors, --total,
+   --extents) parses through one converter, so zero or a negative count
+   is a usage error instead of a run that never ends. *)
+let pos_int =
+  Arg.conv'
+    ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)),
+      Format.pp_print_int )
+
+(* A usage error exits 2, as POSIX utilities do, not cmdliner's 124:
+   124 is timeout(1)'s status for a command that never ended, and a
+   rejected flag must not read as the hang it prevents. *)
+let usage_error = 2
+
+let cmd_info =
+  let exits =
+    Cmd.Exit.info usage_error ~doc:"on command line parsing errors."
+    :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error) Cmd.Exit.defaults
+  in
+  fun ?version name ~doc -> Cmd.info name ?version ~doc ~exits
+
 (* ---------------- shared report tables ---------------- *)
 
 (* Every inspection subcommand prints the same two shapes: a
@@ -74,7 +98,7 @@ let validate_cmd =
                   | outs -> String.concat ", " outs))
               spec.Core.Stack_spec.dag)
   in
-  Cmd.v (Cmd.info "validate" ~doc:"Parse and validate a LabStack specification")
+  Cmd.v (cmd_info "validate" ~doc:"Parse and validate a LabStack specification")
     Term.(const run $ spec_file)
 
 (* ---------------- runtime configuration ---------------- *)
@@ -131,9 +155,9 @@ let run_cmd =
   let stack_file =
     Arg.(required & opt (some file) None & info [ "stack" ] ~docv:"SPEC" ~doc:"LabStack YAML file")
   in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"operations per thread") in
+  let ops = Arg.(value & opt pos_int 2000 & info [ "ops" ] ~doc:"operations per thread") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"client threads") in
+  let threads = Arg.(value & opt pos_int 1 & info [ "threads" ] ~doc:"client threads") in
   let run stack_file config ops bytes threads =
     let platform = Platform.boot ~config () in
     let machine = Platform.machine platform in
@@ -144,45 +168,30 @@ let run_cmd =
           Printf.eprintf "mount error: %s\n" e;
           exit 1
     in
-    let result = ref None in
-    Sim.Machine.spawn machine (fun () ->
-        let t0 = Sim.Machine.now machine in
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c = Platform.client platform ~pid:(100 + th) ~thread:th () in
-                  for i = 1 to ops do
-                    let path = Printf.sprintf "%s/t%d-f%d" mount th i in
-                    (match Runtime.Client.create c path with
-                    | Ok () -> ()
-                    | Error e -> failwith e);
-                    match Runtime.Client.open_file c path with
-                    | Ok fd ->
-                        ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
-                        ignore (Runtime.Client.close c fd)
-                    | Error e -> failwith e
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
-            done);
-        result := Some (Sim.Machine.now machine -. t0);
-        Sim.Engine.stop_all machine.Sim.Machine.engine);
-    Sim.Machine.run machine;
-    match !result with
-    | Some elapsed ->
-        let total_ops = 3 * ops * threads in
-        Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
-          mount total_ops (elapsed /. 1e6)
-          (float_of_int total_ops /. (elapsed /. 1e9) /. 1000.0)
-          (float_of_int (ops * threads * bytes) /. 1048576.0);
-        Platform.export platform
-    | None ->
-        Printf.eprintf "workload did not complete\n";
-        exit 1
+    Platform.go platform (fun () ->
+        Sim.Engine.join machine.Sim.Machine.engine threads (fun th ->
+            let c = Platform.client platform ~pid:(100 + th) ~thread:th () in
+            for i = 1 to ops do
+              let path = Printf.sprintf "%s/t%d-f%d" mount th i in
+              (match Runtime.Client.create c path with
+              | Ok () -> ()
+              | Error e -> failwith e);
+              match Runtime.Client.open_file c path with
+              | Ok fd ->
+                  ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
+                  ignore (Runtime.Client.close c fd)
+              | Error e -> failwith e
+            done));
+    let elapsed = Platform.now platform in
+    let total_ops = 3 * ops * threads in
+    Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
+      mount total_ops (elapsed /. 1e6)
+      (float_of_int total_ops /. (elapsed /. 1e9) /. 1000.0)
+      (float_of_int (ops * threads * bytes) /. 1048576.0);
+    Platform.export platform
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Mount a LabStack on a simulated NVMe machine and drive a create/write/close workload")
+    (cmd_info "run" ~doc:"Mount a LabStack on a simulated NVMe machine and drive a create/write/close workload")
     Term.(const run $ stack_file $ config_term () $ ops $ bytes $ threads)
 
 (* ---------------- faults ---------------- *)
@@ -211,9 +220,9 @@ let faults_cmd =
     Arg.(value & opt float 0.0 & info [ "torn-rate" ] ~doc:"per-write torn-write probability")
   in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"fault-plan and workload seed") in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block writes per thread") in
+  let ops = Arg.(value & opt pos_int 2000 & info [ "ops" ] ~doc:"block writes per thread") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = Arg.(value & opt pos_int 4 & info [ "threads" ] ~doc:"client threads") in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"print the full fault trace") in
   let run config rate timeout_rate torn_rate seed ops bytes threads trace =
     let rates =
@@ -225,34 +234,24 @@ let faults_cmd =
       }
     in
     let platform = Platform.boot ~config ~seed ~fault_rates:rates () in
-    (match Platform.mount platform faults_stack_spec with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "mount error: %s\n" e;
-        exit 1);
+    ignore (Platform.mount_exn platform faults_stack_spec);
     let machine = Platform.machine platform in
     let lat = Sim.Stats.create () in
     let failed = ref 0 in
     let clients = ref [] in
     Platform.go platform (fun () ->
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c = Platform.client platform ~thread:th () in
-                  clients := c :: !clients;
-                  let rng = Sim.Rng.create (seed lxor (th * 7919)) in
-                  for _ = 1 to ops do
-                    let lba = Sim.Rng.int rng 262144 in
-                    let t0 = Sim.Machine.now machine in
-                    match
-                      Runtime.Client.write_block c ~mount:"blk::/dev/sim" ~lba ~bytes
-                    with
-                    | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
-                    | Error _ -> incr failed
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
+        Sim.Engine.join machine.Sim.Machine.engine threads (fun th ->
+            let c = Platform.client platform ~thread:th () in
+            clients := c :: !clients;
+            let rng = Sim.Rng.create (seed lxor (th * 7919)) in
+            for _ = 1 to ops do
+              let lba = Sim.Rng.int rng 262144 in
+              let t0 = Sim.Machine.now machine in
+              match
+                Runtime.Client.write_block c ~mount:"blk::/dev/sim" ~lba ~bytes
+              with
+              | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+              | Error _ -> incr failed
             done));
     let elapsed = Platform.now platform in
     let total = ops * threads in
@@ -287,7 +286,7 @@ let faults_cmd =
     Platform.export platform
   in
   Cmd.v
-    (Cmd.info "faults"
+    (cmd_info "faults"
        ~doc:"Drive a block workload against a device with a deterministic fault plan and report fault/retry counters")
     Term.(const run $ config_term () $ rate $ timeout_rate $ torn_rate $ seed $ ops $ bytes $ threads $ trace)
 
@@ -306,10 +305,10 @@ dag:
 
 let lvm_cmd =
   let extents =
-    Arg.(value & opt int 32 & info [ "extents" ] ~doc:"1 MiB extents to populate")
+    Arg.(value & opt pos_int 32 & info [ "extents" ] ~doc:"1 MiB extents to populate")
   in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"reads per thread per phase") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let ops = Arg.(value & opt pos_int 200 & info [ "ops" ] ~doc:"reads per thread per phase") in
+  let threads = Arg.(value & opt pos_int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0x1074 & info [ "seed" ] ~doc:"workload seed") in
   let journal = Arg.(value & flag & info [ "journal" ] ~doc:"print the redo journal") in
   let run config extents ops threads seed journal =
@@ -317,26 +316,16 @@ let lvm_cmd =
     let platform =
       Platform.boot ~config ~seed ~devices:[ Device.Profile.Nvme; Device.Profile.Nvme ] ()
     in
-    (match Platform.mount platform lvm_stack_spec with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "mount error: %s\n" e;
-        exit 1);
+    ignore (Platform.mount_exn platform lvm_stack_spec);
     let machine = Platform.machine platform in
     let mount = "blk::/vol" in
     let span = extents * extent_blocks in
     let failures = ref 0 in
     let run_phase f =
       Platform.go platform (fun () ->
-          let finished = ref 0 in
-          Sim.Engine.suspend (fun resume ->
-              for th = 0 to threads - 1 do
-                Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                    let c = Platform.client platform ~thread:th () in
-                    f th c;
-                    incr finished;
-                    if !finished = threads then resume ())
-              done))
+          Sim.Engine.join machine.Sim.Machine.engine threads (fun th ->
+              let c = Platform.client platform ~thread:th () in
+              f th c))
     in
     let read_loop th c n key =
       let rng = Sim.Rng.create (seed lxor (th * key)) in
@@ -416,7 +405,7 @@ let lvm_cmd =
     Platform.export platform
   in
   Cmd.v
-    (Cmd.info "lvm"
+    (cmd_info "lvm"
        ~doc:"Mount a mirrored volume, script one leg offline mid-run, and report degraded-mode and rebuild counters")
     Term.(const run $ config_term () $ extents $ ops $ threads $ seed $ journal)
 
@@ -451,8 +440,8 @@ let cache_cmd =
   in
   let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"independent cache shards") in
   let readahead = Arg.(value & flag & info [ "readahead" ] ~doc:"enable sequential readahead") in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads (one stream each)") in
+  let ops = Arg.(value & opt pos_int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
+  let threads = Arg.(value & opt pos_int 4 & info [ "threads" ] ~doc:"client threads (one stream each)") in
   let write_pct =
     Arg.(value & opt int 25 & info [ "write-pct" ] ~doc:"percentage of ops that are writes (0-100)")
   in
@@ -460,50 +449,39 @@ let cache_cmd =
   let run config policy capacity_mb shards readahead ops threads write_pct seed =
     let write_pct = Stdlib.max 0 (Stdlib.min 100 write_pct) in
     let platform = Platform.boot ~config ~seed () in
-    (match
-       Platform.mount platform
-         (cache_stack_spec ~policy ~capacity_mb ~shards ~readahead)
-     with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "mount error: %s\n" e;
-        exit 1);
+    ignore
+      (Platform.mount_exn platform
+         (cache_stack_spec ~policy ~capacity_mb ~shards ~readahead));
     let machine = Platform.machine platform in
     let lat = Sim.Stats.create () in
     let failed = ref 0 in
     Platform.go platform (fun () ->
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c = Platform.client platform ~thread:th () in
-                  (* Per-thread sequential streams in disjoint page
-                     regions: reads from the base, writes from the
-                     upper half. *)
-                  let rpage = ref (th * 1_000_000) in
-                  let wpage = ref ((th * 1_000_000) + 500_000) in
-                  for i = 1 to ops do
-                    let t0 = Sim.Machine.now machine in
-                    let r =
-                      if write_pct > 0 && i * write_pct mod 100 < write_pct then begin
-                        let lba = !wpage in
-                        incr wpage;
-                        Runtime.Client.write_block c ~stream:th ~mount:"blk::/cache"
-                          ~lba ~bytes:4096
-                      end
-                      else begin
-                        let lba = !rpage in
-                        incr rpage;
-                        Runtime.Client.read_block c ~stream:th ~mount:"blk::/cache"
-                          ~lba ~bytes:4096
-                      end
-                    in
-                    match r with
-                    | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
-                    | Error _ -> incr failed
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
+        Sim.Engine.join machine.Sim.Machine.engine threads (fun th ->
+            let c = Platform.client platform ~thread:th () in
+            (* Per-thread sequential streams in disjoint page
+               regions: reads from the base, writes from the
+               upper half. *)
+            let rpage = ref (th * 1_000_000) in
+            let wpage = ref ((th * 1_000_000) + 500_000) in
+            for i = 1 to ops do
+              let t0 = Sim.Machine.now machine in
+              let r =
+                if write_pct > 0 && i * write_pct mod 100 < write_pct then begin
+                  let lba = !wpage in
+                  incr wpage;
+                  Runtime.Client.write_block c ~stream:th ~mount:"blk::/cache"
+                    ~lba ~bytes:4096
+                end
+                else begin
+                  let lba = !rpage in
+                  incr rpage;
+                  Runtime.Client.read_block c ~stream:th ~mount:"blk::/cache"
+                    ~lba ~bytes:4096
+                end
+              in
+              match r with
+              | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+              | Error _ -> incr failed
             done));
     let elapsed = Platform.now platform in
     let total = ops * threads in
@@ -533,7 +511,7 @@ let cache_cmd =
     Platform.export platform
   in
   Cmd.v
-    (Cmd.info "cache"
+    (cmd_info "cache"
        ~doc:"Drive sequential per-thread streams through a cache stack and report hit/readahead/write-back counters")
     Term.(const run $ config_term () $ policy $ capacity_mb $ shards $ readahead $ ops $ threads $ write_pct $ seed)
 
@@ -565,33 +543,23 @@ dag:
    streams; enough to exercise cache hits/misses, merges, and the
    device path. *)
 let drive_obs_workload platform ~ops ~threads =
-  (match Platform.mount platform obs_stack_spec with
-  | Ok _ -> ()
-  | Error e ->
-      Printf.eprintf "mount error: %s\n" e;
-      exit 1);
+  ignore (Platform.mount_exn platform obs_stack_spec);
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Sim.Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let page = ref (th * 1_000_000) in
-                for i = 1 to ops do
-                  let lba = !page in
-                  incr page;
-                  if i mod 4 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~stream:th
-                         ~mount:"blk::/obs" ~lba ~bytes:4096)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~stream:th
-                         ~mount:"blk::/obs" ~lba ~bytes:4096)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
+      Sim.Engine.join machine.Sim.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          let page = ref (th * 1_000_000) in
+          for i = 1 to ops do
+            let lba = !page in
+            incr page;
+            if i mod 4 = 0 then
+              ignore
+                (Runtime.Client.write_block c ~stream:th
+                   ~mount:"blk::/obs" ~lba ~bytes:4096)
+            else
+              ignore
+                (Runtime.Client.read_block c ~stream:th
+                   ~mount:"blk::/obs" ~lba ~bytes:4096)
           done))
 
 (* The observability subcommands share one shape: --ops/--threads/--seed
@@ -602,8 +570,8 @@ let drive_obs_workload platform ~ops ~threads =
 let obs_cmd name ~doc ~ops ~threads ~config ?artifact ?note
     ?(boot = Term.const (fun ~config ~seed -> Platform.boot ~config ~seed ()))
     report =
-  let ops = Arg.(value & opt int ops & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int threads & info [ "threads" ] ~doc:"client threads") in
+  let ops = Arg.(value & opt pos_int ops & info [ "ops" ] ~doc:"block ops per thread") in
+  let threads = Arg.(value & opt pos_int threads & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let run config ops threads seed boot report =
     let platform = boot ~config ~seed in
@@ -612,7 +580,7 @@ let obs_cmd name ~doc ~ops ~threads ~config ?artifact ?note
     Platform.export platform;
     Option.iter (fun path_of -> wrote ?note (path_of config)) artifact
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (cmd_info name ~doc)
     Term.(const run $ config $ ops $ threads $ seed $ boot $ report)
 
 let metrics_cmd =
@@ -894,7 +862,7 @@ let mods_cmd =
         | None -> ())
       names
   in
-  Cmd.v (Cmd.info "mods" ~doc:"List the stock LabMod implementations") Term.(const run $ const ())
+  Cmd.v (cmd_info "mods" ~doc:"List the stock LabMod implementations") Term.(const run $ const ())
 
 (* ---------------- qos ---------------- *)
 
@@ -918,19 +886,14 @@ dag:
 |}
 
 let qos_cmd =
-  let tenants = Arg.(value & opt int 8 & info [ "tenants" ] ~doc:"well-behaved tenants") in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"reads per tenant") in
+  let tenants = Arg.(value & opt pos_int 8 & info [ "tenants" ] ~doc:"well-behaved tenants") in
+  let ops = Arg.(value & opt pos_int 200 & info [ "ops" ] ~doc:"reads per tenant") in
   let noisy = Arg.(value & flag & info [ "noisy" ] ~doc:"add a misbehaving bulk tenant (capped at 700 MB/s, qcap 32)") in
   let rate = Arg.(value & opt float 700.0 & info [ "rate" ] ~doc:"noisy tenant's token-bucket rate (MB/s)") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let run config tenants ops noisy rate seed =
-    let n = Stdlib.max 1 tenants in
+  let run config n ops noisy rate seed =
     let platform = Platform.boot ~config ~seed () in
-    (match Platform.mount platform qos_stack_spec with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "mount error: %s\n" e;
-        exit 1);
+    ignore (Platform.mount_exn platform qos_stack_spec);
     let machine = Platform.machine platform in
     let eng = machine.Sim.Machine.engine in
     for i = 0 to n - 1 do
@@ -1006,7 +969,7 @@ let qos_cmd =
     Platform.export platform
   in
   Cmd.v
-    (Cmd.info "qos"
+    (cmd_info "qos"
        ~doc:"Drive metered tenants through the DRR-scheduled stack and print the per-tenant QoS report")
     Term.(const run $ config_term () $ tenants $ ops $ noisy $ rate $ seed)
 
@@ -1034,37 +997,33 @@ dag:
 
 let load_cmd =
   let rate = Arg.(value & opt float 100.0 & info [ "rate" ] ~doc:"offered arrival rate (kops/s)") in
-  let total = Arg.(value & opt int 2000 & info [ "total" ] ~doc:"arrivals to generate") in
+  let total = Arg.(value & opt pos_int 2000 & info [ "total" ] ~doc:"arrivals to generate") in
   let process =
-    Arg.(value & opt string "poisson"
-         & info [ "process" ] ~doc:"arrival process: poisson | onoff | diurnal")
+    Arg.(value
+         & opt (enum [ ("poisson", `Poisson); ("onoff", `On_off); ("diurnal", `Diurnal) ]) `Poisson
+         & info [ "process" ] ~docv:"PROCESS"
+             ~doc:"arrival process: $(b,poisson), $(b,onoff) or $(b,diurnal)")
   in
-  let injectors = Arg.(value & opt int 16 & info [ "injectors" ] ~doc:"concurrent open-loop senders") in
+  let injectors = Arg.(value & opt pos_int 16 & info [ "injectors" ] ~doc:"concurrent open-loop senders") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"read size per request") in
   let seed = Arg.(value & opt int 0x10AD & info [ "seed" ] ~doc:"simulation seed") in
   let run config rate total process injectors bytes seed =
     let rate_ops_s = rate *. 1e3 in
-    let proc =
+    let process, proc =
       match process with
-      | "poisson" -> Workloads.Load.Poisson { rate_ops_s }
-      | "onoff" ->
+      | `Poisson -> ("poisson", Workloads.Load.Poisson { rate_ops_s })
+      | `On_off ->
           (* 60/40 duty cycle, 100µs windows: same nominal rate, bursty. *)
-          Workloads.Load.On_off
-            { rate_ops_s = rate_ops_s /. 0.6; on_ns = 60_000.0; off_ns = 40_000.0 }
-      | "diurnal" ->
-          Workloads.Load.Diurnal
-            { mean_ops_s = rate_ops_s; amplitude = 0.5; period_ns = 1e7 }
-      | p ->
-          Printf.eprintf "unknown process %S (poisson | onoff | diurnal)\n" p;
-          exit 1
+          ( "onoff",
+            Workloads.Load.On_off
+              { rate_ops_s = rate_ops_s /. 0.6; on_ns = 60_000.0; off_ns = 40_000.0 } )
+      | `Diurnal ->
+          ( "diurnal",
+            Workloads.Load.Diurnal
+              { mean_ops_s = rate_ops_s; amplitude = 0.5; period_ns = 1e7 } )
     in
-    let injectors = Stdlib.max 1 injectors in
     let platform = Platform.boot ~config ~seed () in
-    (match Platform.mount platform load_stack_spec with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "mount error: %s\n" e;
-        exit 1);
+    ignore (Platform.mount_exn platform load_stack_spec);
     let machine = Platform.machine platform in
     let res =
       Platform.go platform (fun () ->
@@ -1126,21 +1085,23 @@ let load_cmd =
     Platform.export platform
   in
   Cmd.v
-    (Cmd.info "load"
+    (cmd_info "load"
        ~doc:"Fire an open-loop arrival schedule at a stack and report CO-corrected vs naive latency")
     Term.(const run $ config_term ~base:{ Runtime.Runtime.default_config with worker_max_inflight = 32 } ()
           $ rate $ total $ process $ injectors $ bytes $ seed)
 
 let () =
   let info =
-    Cmd.info "labstor_cli" ~version:"1.0.0"
+    cmd_info "labstor_cli" ~version:"1.0.0"
       ~doc:"LabStor platform utilities (simulated deployment)"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            validate_cmd; run_cmd; faults_cmd; lvm_cmd; cache_cmd; metrics_cmd;
-            trace_cmd; exemplars_cmd; blackbox_cmd; profile_cmd; top_cmd;
-            mods_cmd; qos_cmd; load_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           validate_cmd; run_cmd; faults_cmd; lvm_cmd; cache_cmd; metrics_cmd;
+           trace_cmd; exemplars_cmd; blackbox_cmd; profile_cmd; top_cmd;
+           mods_cmd; qos_cmd; load_cmd;
+         ])
+  in
+  exit (if code = Cmd.Exit.cli_error then usage_error else code)

@@ -259,6 +259,21 @@ let suspend register =
   t.pending_register <- register;
   Effect.perform Suspend
 
+(* Bodies are queued inside the suspend callback, after the caller's
+   continuation is captured, and the last one to return resumes it at
+   its own completion time. *)
+let join t n body =
+  if n > 0 then begin
+    let left = ref n in
+    suspend (fun resume ->
+        for i = 0 to n - 1 do
+          spawn t (fun () ->
+              body i;
+              decr left;
+              if !left = 0 then resume ())
+        done)
+  end
+
 let park cell =
   let t = engine_of_process () in
   (match cell.peng with

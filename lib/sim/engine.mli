@@ -57,6 +57,12 @@ val suspend : (resumer -> unit) -> unit
     {!resumer} to [register]. The process continues when the resumer is
     invoked. *)
 
+val join : t -> int -> (int -> unit) -> unit
+(** [join t n body] spawns [body 0] … [body (n-1)] in index order at
+    the current time and suspends the caller until the last of them
+    returns. Returns at once when [n <= 0]. Must be called from within
+    a process. *)
+
 type park_cell
 (** A reusable parking spot. Unlike {!suspend} — whose first-class
     resumer costs a closure, a fired flag, and a register callback per

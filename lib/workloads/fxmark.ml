@@ -17,20 +17,10 @@ let finish machine ~ops ~t0 =
       (if elapsed > 0.0 then Stdlib.float_of_int ops /. (elapsed /. 1e9) else 0.0);
   }
 
-let parallel machine nthreads body =
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            body th;
-            incr finished;
-            if !finished = nthreads then resume ())
-      done)
-
 let run_create machine ~nthreads ~files_per_thread ~shared_dir ops =
   if nthreads <= 0 || files_per_thread <= 0 then invalid_arg "Fxmark.run_create";
   let t0 = Machine.now machine in
-  parallel machine nthreads (fun th ->
+  Engine.join machine.Machine.engine nthreads (fun th ->
       for i = 1 to files_per_thread do
         let path =
           if shared_dir then Printf.sprintf "/shared/t%d-f%d" th i
@@ -43,7 +33,7 @@ let run_create machine ~nthreads ~files_per_thread ~shared_dir ops =
 let run_mixed machine ~nthreads ~ops_per_thread ops =
   if nthreads <= 0 || ops_per_thread <= 0 then invalid_arg "Fxmark.run_mixed";
   let t0 = Machine.now machine in
-  parallel machine nthreads (fun th ->
+  Engine.join machine.Machine.engine nthreads (fun th ->
       let created = ref [] in
       let counter = ref 0 in
       for i = 1 to ops_per_thread do

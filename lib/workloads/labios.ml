@@ -35,20 +35,14 @@ type result = {
 let run_worker machine backend ?(nthreads = 1) ?(labels_per_thread = 2000)
     ?(label_bytes = 8192) ?(read_fraction = 0.0) () =
   let t0 = Machine.now machine in
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            let rng = Rng.create (0x1AB + th) in
-            for i = 1 to labels_per_thread do
-              let key = Printf.sprintf "labios::/labels/t%d-l%d" th i in
-              if Rng.float rng 1.0 < read_fraction && i > 1 then
-                backend.get_label ~thread:th
-                  ~key:(Printf.sprintf "labios::/labels/t%d-l%d" th (Rng.int rng (i - 1) + 1))
-              else backend.put_label ~thread:th ~key ~bytes:label_bytes
-            done;
-            incr finished;
-            if !finished = nthreads then resume ())
+  Engine.join machine.Machine.engine nthreads (fun th ->
+      let rng = Rng.create (0x1AB + th) in
+      for i = 1 to labels_per_thread do
+        let key = Printf.sprintf "labios::/labels/t%d-l%d" th i in
+        if Rng.float rng 1.0 < read_fraction && i > 1 then
+          backend.get_label ~thread:th
+            ~key:(Printf.sprintf "labios::/labels/t%d-l%d" th (Rng.int rng (i - 1) + 1))
+        else backend.put_label ~thread:th ~key ~bytes:label_bytes
       done);
   let elapsed = Machine.now machine -. t0 in
   let labels = nthreads * labels_per_thread in

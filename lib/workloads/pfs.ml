@@ -108,20 +108,10 @@ type result = {
   md_ops : int;
 }
 
-let run_procs t ~procs body =
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for p = 0 to procs - 1 do
-        Engine.spawn t.machine.Machine.engine (fun () ->
-            body p;
-            incr finished;
-            if !finished = procs then resume ())
-      done)
-
 let vpic t ~procs ~steps ~bytes_per_proc_step =
   let t0 = Machine.now t.machine in
   let md0 = t.md_op_count in
-  run_procs t ~procs (fun p ->
+  Engine.join t.machine.Machine.engine procs (fun p ->
       for step = 1 to steps do
         write_file t ~thread:p
           ~path:(Printf.sprintf "pfs::/vpic/step%d/proc%d" step p)
@@ -142,7 +132,7 @@ let vpic t ~procs ~steps ~bytes_per_proc_step =
 let bdcats t ~procs ~steps ~bytes_per_proc_step =
   let t0 = Machine.now t.machine in
   let md0 = t.md_op_count in
-  run_procs t ~procs (fun p ->
+  Engine.join t.machine.Machine.engine procs (fun p ->
       for step = 1 to steps do
         read_file t ~thread:p
           ~path:(Printf.sprintf "pfs::/vpic/step%d/proc%d" step p)

@@ -28,45 +28,37 @@ let run machine mix ?(nthreads = 4) ?(records = 500) ?(ops_per_thread = 500)
   if nthreads <= 0 || records <= 0 || ops_per_thread <= 0 then
     invalid_arg "Ycsb.run";
   (* Load phase, untimed. *)
-  Engine.suspend (fun resume ->
-      Engine.spawn machine.Machine.engine (fun () ->
-          for i = 0 to records - 1 do
-            ops.put ~thread:0 ~key:(key_name i) ~bytes:value_bytes
-          done;
-          resume ()));
+  Engine.join machine.Machine.engine 1 (fun _ ->
+      for i = 0 to records - 1 do
+        ops.put ~thread:0 ~key:(key_name i) ~bytes:value_bytes
+      done);
   let read_latency = Stats.create () and update_latency = Stats.create () in
   let inserted = ref records in
   let t0 = Machine.now machine in
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            let rng = Rng.create (0xCC5B + th) in
-            for _ = 1 to ops_per_thread do
-              let start = Machine.now machine in
-              let is_read = Rng.float rng 1.0 < read_fraction mix in
-              (match (mix, is_read) with
-              | D, false ->
-                  (* read-latest: the write side inserts fresh keys. *)
-                  let k = !inserted in
-                  incr inserted;
-                  ops.put ~thread:th ~key:(key_name k) ~bytes:value_bytes
-              | D, true ->
-                  (* reads skew towards the most recent records. *)
-                  let back = Rng.zipf rng ~n:(Stdlib.min 100 !inserted) ~theta in
-                  ops.get ~thread:th ~key:(key_name (!inserted - 1 - back))
-              | _, true ->
-                  ops.get ~thread:th ~key:(key_name (Rng.zipf rng ~n:records ~theta))
-              | _, false ->
-                  ops.put ~thread:th
-                    ~key:(key_name (Rng.zipf rng ~n:records ~theta))
-                    ~bytes:value_bytes);
-              Stats.add
-                (if is_read then read_latency else update_latency)
-                (Machine.now machine -. start)
-            done;
-            incr finished;
-            if !finished = nthreads then resume ())
+  Engine.join machine.Machine.engine nthreads (fun th ->
+      let rng = Rng.create (0xCC5B + th) in
+      for _ = 1 to ops_per_thread do
+        let start = Machine.now machine in
+        let is_read = Rng.float rng 1.0 < read_fraction mix in
+        (match (mix, is_read) with
+        | D, false ->
+            (* read-latest: the write side inserts fresh keys. *)
+            let k = !inserted in
+            incr inserted;
+            ops.put ~thread:th ~key:(key_name k) ~bytes:value_bytes
+        | D, true ->
+            (* reads skew towards the most recent records. *)
+            let back = Rng.zipf rng ~n:(Stdlib.min 100 !inserted) ~theta in
+            ops.get ~thread:th ~key:(key_name (!inserted - 1 - back))
+        | _, true ->
+            ops.get ~thread:th ~key:(key_name (Rng.zipf rng ~n:records ~theta))
+        | _, false ->
+            ops.put ~thread:th
+              ~key:(key_name (Rng.zipf rng ~n:records ~theta))
+              ~bytes:value_bytes);
+        Stats.add
+          (if is_read then read_latency else update_latency)
+          (Machine.now machine -. start)
       done);
   let elapsed = Machine.now machine -. t0 in
   let total = nthreads * ops_per_thread in

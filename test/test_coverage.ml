@@ -4,6 +4,7 @@
    region lifecycle). *)
 
 open Lab_sim
+module Heap = Lab_legacy.Heap
 open Lab_core
 
 let in_sim ?(ncores = 8) f =

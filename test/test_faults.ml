@@ -109,9 +109,7 @@ let test_retry_masks_one_shot_error () =
       ~fault_script:[ Fault.One_shot { at_ns = 0.0; queue = None; fault = Fault.Io_error } ]
       ()
   in
-  (match Platform.mount platform blk_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform blk_spec);
   Platform.go platform (fun () ->
       let c = Platform.client platform ~thread:0 () in
       (match Runtime.Client.write_block c ~mount:"blk::/dev/t" ~lba:0 ~bytes:4096 with
@@ -130,9 +128,7 @@ let test_offline_window_requeues () =
         [ Fault.Offline { from_ns = 0.0; until_ns = 1e6; queue = Some 0 } ]
       ()
   in
-  (match Platform.mount platform blk_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform blk_spec);
   Platform.go platform (fun () ->
       let c = Platform.client platform ~thread:0 () in
       (match Runtime.Client.write_block c ~mount:"blk::/dev/t" ~lba:0 ~bytes:4096 with
@@ -220,9 +216,7 @@ let test_deadline_miss_on_lost_command () =
         ]
       ()
   in
-  (match Platform.mount platform blk_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform blk_spec);
   Platform.go platform (fun () ->
       let policy =
         {
@@ -255,9 +249,7 @@ let test_labfs_journal_abort_and_replay () =
       ~fault_script:[ Fault.One_shot { at_ns = 0.0; queue = None; fault = Fault.Io_error } ]
       ()
   in
-  (match Platform.mount platform fs_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform fs_spec);
   let rt = Platform.runtime platform in
   let fs () = Option.get (Core.Registry.find (Runtime.Runtime.registry rt) "fs-1") in
   Platform.go platform (fun () ->
@@ -330,9 +322,7 @@ let batch_writes ~lba0 n =
 
 let test_merge_completes_individually () =
   let platform = Platform.boot ~nworkers:2 ~worker_batch_size:4 () in
-  (match Platform.mount platform merge_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform merge_spec);
   let rt = Platform.runtime platform in
   let sched () =
     Option.get (Core.Registry.find (Runtime.Runtime.registry rt) "sched-m")
@@ -375,9 +365,7 @@ let test_merge_torn_chunk_splits_errors () =
         [ Fault.One_shot { at_ns = 0.0; queue = None; fault = Fault.Torn_write 4096 } ]
       ()
   in
-  (match Platform.mount platform merge_spec with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  ignore (Platform.mount_exn platform merge_spec);
   Platform.go platform (fun () ->
       let policy =
         { Runtime.Client.default_retry_policy with Runtime.Client.max_retries = 0 }

@@ -52,33 +52,28 @@ let run_scenario () =
   let ops_done = ref 0 in
   Platform.go platform (fun () ->
       let m = Platform.machine platform in
-      let finished = ref 0 in
-      Sim.Engine.suspend (fun resume ->
-          for i = 1 to 6 do
-            Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:i () in
-                let rng = Sim.Rng.create (1000 + i) in
-                for j = 1 to 40 do
-                  (match j mod 3 with
-                  | 0 ->
-                      ignore
-                        (Runtime.Client.put c
-                           ~key:(Printf.sprintf "kv::/it/k%d-%d" i j)
-                           ~bytes:(4096 * (1 + Sim.Rng.int rng 4)))
-                  | 1 -> ok (Runtime.Client.create c (Printf.sprintf "fs::/it/f%d-%d" i j))
-                  | _ -> (
-                      let path = Printf.sprintf "fs::/it/d%d-%d" i j in
-                      ok (Runtime.Client.create c path);
-                      match Runtime.Client.open_file c path with
-                      | Ok fd ->
-                          ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:8192);
-                          ignore (Runtime.Client.pread c ~fd ~off:0 ~bytes:8192);
-                          ignore (Runtime.Client.close c fd)
-                      | Error e -> failwith e));
-                  incr ops_done
-                done;
-                incr finished;
-                if !finished = 6 then resume ())
+      Sim.Engine.join m.Sim.Machine.engine 6 (fun k ->
+          let i = k + 1 in
+          let c = Platform.client platform ~thread:i () in
+          let rng = Sim.Rng.create (1000 + i) in
+          for j = 1 to 40 do
+            (match j mod 3 with
+            | 0 ->
+                ignore
+                  (Runtime.Client.put c
+                     ~key:(Printf.sprintf "kv::/it/k%d-%d" i j)
+                     ~bytes:(4096 * (1 + Sim.Rng.int rng 4)))
+            | 1 -> ok (Runtime.Client.create c (Printf.sprintf "fs::/it/f%d-%d" i j))
+            | _ -> (
+                let path = Printf.sprintf "fs::/it/d%d-%d" i j in
+                ok (Runtime.Client.create c path);
+                match Runtime.Client.open_file c path with
+                | Ok fd ->
+                    ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:8192);
+                    ignore (Runtime.Client.pread c ~fd ~off:0 ~bytes:8192);
+                    ignore (Runtime.Client.close c fd)
+                | Error e -> failwith e));
+            incr ops_done
           done));
   (Platform.now platform, !ops_done,
    Runtime.Runtime.requests_processed (Platform.runtime platform))

@@ -171,9 +171,7 @@ let boot_lvm ?(rate = 100_000.0) spec =
       ~devices:[ Lab_device.Profile.Nvme; Lab_device.Profile.Nvme ]
       ()
   in
-  (match Platform.mount platform spec with
-  | Ok _ -> ()
-  | Error e -> failwith ("test_lvm: mount: " ^ e));
+  ignore (Platform.mount_exn platform spec);
   let m =
     Option.get
       (Core.Registry.find (Runtime.Runtime.registry (Platform.runtime platform)) "lvm0")

@@ -610,29 +610,21 @@ let run_platform ?(profile_period = 0.0) ?exemplar_k ?blackbox_cap ~sample
     Platform.boot ~nworkers:2 ~seed:0x0B5 ~trace_sample:sample ~profile_period
       ?exemplar_k ?blackbox_cap ()
   in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Lab_sim.Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Lab_sim.Engine.spawn machine.Lab_sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                for i = 1 to ops do
-                  let lba = (th * 100_000) + i in
-                  if i mod 3 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~mount:"blk::/obs-test"
-                         ~lba ~bytes:4096)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~mount:"blk::/obs-test"
-                         ~lba ~bytes:4096)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
+      Lab_sim.Engine.join machine.Lab_sim.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          for i = 1 to ops do
+            let lba = (th * 100_000) + i in
+            if i mod 3 = 0 then
+              ignore
+                (Runtime.Client.write_block c ~mount:"blk::/obs-test"
+                   ~lba ~bytes:4096)
+            else
+              ignore
+                (Runtime.Client.read_block c ~mount:"blk::/obs-test"
+                   ~lba ~bytes:4096)
           done));
   platform
 
@@ -865,40 +857,32 @@ let test_batched_observed_once () =
   let platform =
     Platform.boot ~nworkers:2 ~seed:0x0B5 ~exemplar_k:8 ~blackbox_cap:8192 ()
   in
-  (match Platform.mount platform stack_spec with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("mount: " ^ e));
+  ignore (Platform.mount_exn platform stack_spec);
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Lab_sim.Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Lab_sim.Engine.spawn machine.Lab_sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                for r = 0 to rounds - 1 do
-                  let ops =
-                    List.init batch (fun i ->
-                        {
-                          Runtime.Client.op_kind =
-                            (if r mod 2 = 0 then Lab_core.Request.Write
-                             else Lab_core.Request.Read);
-                          op_lba = (th * 100_000) + (r * batch * 8) + (i * 8);
-                          op_bytes = 4096;
-                        })
-                  in
-                  match
-                    Runtime.Client.block_batch c ~mount:"blk::/obs-test" ops
-                  with
-                  | Ok results ->
-                      List.iter
-                        (fun r ->
-                          Alcotest.(check bool) "batch entry ok" true
-                            (Result.is_ok r))
-                        results
-                  | Error e -> Alcotest.fail e
-                done;
-                incr finished;
-                if !finished = threads then resume ())
+      Lab_sim.Engine.join machine.Lab_sim.Machine.engine threads (fun th ->
+          let c = Platform.client platform ~thread:th () in
+          for r = 0 to rounds - 1 do
+            let ops =
+              List.init batch (fun i ->
+                  {
+                    Runtime.Client.op_kind =
+                      (if r mod 2 = 0 then Lab_core.Request.Write
+                       else Lab_core.Request.Read);
+                    op_lba = (th * 100_000) + (r * batch * 8) + (i * 8);
+                    op_bytes = 4096;
+                  })
+            in
+            match
+              Runtime.Client.block_batch c ~mount:"blk::/obs-test" ops
+            with
+            | Ok results ->
+                List.iter
+                  (fun r ->
+                    Alcotest.(check bool) "batch entry ok" true
+                      (Result.is_ok r))
+                  results
+            | Error e -> Alcotest.fail e
           done));
   let requests = threads * rounds * batch in
   (match Runtime.Runtime.exemplars (Platform.runtime platform) with

@@ -217,9 +217,7 @@ dag:
    sharing one capped bulk tenant. Returns the run's fingerprint. *)
 let e2e_fingerprint ~seed =
   let platform = Platform.boot ~nworkers:2 ~seed () in
-  (match Platform.mount platform qos_spec with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "mount: %s" e);
+  ignore (Platform.mount_exn platform qos_spec);
   let machine = Platform.machine platform in
   let eng = machine.Lab_sim.Machine.engine in
   for i = 0 to 3 do

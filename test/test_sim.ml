@@ -1,6 +1,7 @@
 (* Tests for the lab_sim discrete-event simulation substrate. *)
 
 open Lab_sim
+module Heap = Lab_legacy.Heap
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -204,6 +205,56 @@ let test_engine_determinism () =
   in
   let a = run_once () and b = run_once () in
   Alcotest.(check (pair string int)) "identical replay" a b
+
+(* [Engine.join] against the countdown idiom it replaced, kept here once
+   as the reference. Each case forks n in [0, 16] bodies, each running a
+   random sequence of waits (small delays, so completions tie and the
+   same-time FIFO order exposes the spawn order). Both must complete
+   the bodies in the same order, end at the same virtual time and
+   execute the same number of events, and, whenever the reference
+   returns at all (n >= 1), resume the caller at the same time. *)
+let prop_join_matches_countdown =
+  let countdown e n body =
+    let ended = ref 0 in
+    Engine.suspend (fun resume ->
+        for i = 0 to n - 1 do
+          Engine.spawn e (fun () ->
+              body i;
+              incr ended;
+              if !ended = n then resume ())
+        done)
+  in
+  let run fork waits =
+    let e = Engine.create () in
+    let order = ref [] and resumed = ref None in
+    Engine.spawn e (fun () ->
+        fork e (Array.length waits) (fun i ->
+            List.iter (fun d -> Engine.wait (float_of_int d)) waits.(i);
+            order := i :: !order);
+        resumed := Some (Engine.now e));
+    Engine.run e;
+    (List.rev !order, !resumed, Engine.now e, Engine.events_executed e)
+  in
+  QCheck.Test.make ~name:"join matches the hand-rolled countdown" ~count:300
+    QCheck.(
+      array_of_size Gen.(int_range 0 16)
+        (list_of_size Gen.(int_range 0 4) (int_range 0 20)))
+    (fun waits ->
+      let o1, r1, t1, e1 = run Engine.join waits in
+      let o2, r2, t2, e2 = run countdown waits in
+      o1 = o2 && t1 = t2 && e1 = e2 && (r2 = None || r1 = r2))
+
+(* The countdown never resumes its caller for n = 0; join returns
+   without suspending, inside the caller's own first event. *)
+let test_engine_join_zero () =
+  let e = Engine.create () in
+  let returned = ref false in
+  Engine.spawn e (fun () ->
+      Engine.join e 0 (fun _ -> Alcotest.fail "no body runs for n = 0");
+      returned := true);
+  Alcotest.(check bool) "one event to run" true (Engine.step e);
+  Alcotest.(check bool) "returned within it" true !returned;
+  Alcotest.(check bool) "nothing left queued" false (Engine.active e)
 
 (* ------------------------------------------------------------------ *)
 (* Evq                                                                 *)
@@ -664,6 +715,8 @@ let () =
           Alcotest.test_case "stop_all releases" `Quick
             test_engine_stop_all_releases;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "join zero" `Quick test_engine_join_zero;
+          QCheck_alcotest.to_alcotest prop_join_matches_countdown;
         ] );
       ("evq", [ QCheck_alcotest.to_alcotest prop_evq_matches_heap ]);
       ( "heap",
