@@ -17,6 +17,12 @@
              events/sec ratio is measured against it.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
+   - idle:   one server polling a request queue the way a runtime
+             worker does, fed with gaps inside and outside its spin
+             budget, once on the engine's spinner and once on the
+             per-tick reference loop ([Tick_spin]). Completion times
+             must be identical; the event counts show what the virtual
+             ticks save.
 
    One in sixteen timers sleeps far beyond the calendar window so the
    overflow heap and window re-anchoring stay on the measured path.
@@ -121,6 +127,59 @@ let run_legacy ~warmup ~total =
   let events = Legacy_engine.events_executed e - e0 in
   (events, words /. Stdlib.float_of_int events, wall)
 
+(* Idle row: the server sweeps its queue; when a sweep finds nothing
+   it spin-polls every 80 ns for 4.8 us (60 ticks, so the deadline is a
+   tick), then parks on its doorbell. A request's service ends 1.2 us
+   into the server's idle stretch; the client then sleeps the next gap,
+   so the next request lands 1.2 us + gap into it: on tick points, just
+   before, on and just after the last tick, or far past it. Everything
+   but the idle loop is shared code. *)
+let idle_gaps = [| 0; 40; 80; 160; 2000; 3560; 3600; 3640; 3680; 9000; 20000 |]
+
+let run_idle ~reference ~requests =
+  let e = Engine.create () in
+  let period = 80.0 and budget = 4800.0 in
+  let sp = Engine.make_spinner ~period ~budget in
+  let queue = Queue.create () and bell = Waitq.create () in
+  let reply = Engine.make_park_cell () in
+  let completed = Array.make requests 0.0 in
+  let sweep () =
+    (not (Queue.is_empty queue))
+    && begin
+         let i = Queue.pop queue in
+         Engine.wait 30.0;
+         Engine.spawn e (fun () ->
+             Engine.wait 1200.0;
+             completed.(i) <- Engine.now e;
+             Engine.unpark reply);
+         true
+       end
+  in
+  let idle () =
+    if reference then Tick_spin.spin ~period ~budget sweep
+    else begin
+      Engine.spin_begin sp;
+      let rec go () = Engine.spin sp && (sweep () || go ()) in
+      go ()
+    end
+  in
+  Engine.spawn e (fun () ->
+      let rec loop () =
+        if not (sweep () || idle ()) then Waitq.park bell (ref None);
+        loop ()
+      in
+      loop ());
+  Engine.spawn e (fun () ->
+      for i = 0 to requests - 1 do
+        Queue.push i queue;
+        Engine.poke sp;
+        ignore (Waitq.wake bell ());
+        Engine.park reply;
+        Engine.wait (Stdlib.float_of_int idle_gaps.(i mod Array.length idle_gaps))
+      done);
+  Engine.run e;
+  (completed, Engine.events_executed e)
+
 let rate events wall =
   if wall > 0.0 then Stdlib.float_of_int events /. wall else 0.0
 
@@ -135,6 +194,7 @@ let run () =
   let wait_total = if smoke then 10_000 else 400_000 in
   let legacy_total = if smoke then 10_000 else 400_000 in
   let batch_ops = if smoke then 256 else 2048 in
+  let idle_requests = if smoke then 220 else 2200 in
   Bench_util.heading "sim"
     "Simulator core: events/sec and minor words/event on the hot path";
   Printf.printf
@@ -156,10 +216,25 @@ let run () =
       ~total_ops:batch_ops in
   Bench_util.print_row widths
     [ "batching"; string_of_int b.Exp_batching.events; "-" ];
+  let idle_done, idle_events = run_idle ~reference:false ~requests:idle_requests in
+  let ref_done, idle_ref_events =
+    run_idle ~reference:true ~requests:idle_requests
+  in
+  let idle_identical = idle_done = ref_done in
+  Bench_util.print_row widths [ "idle"; string_of_int idle_events; "-" ];
   Bench_util.note
     "timer is the pooled closure-free path; legacy replicates the";
   Bench_util.note
     "pre-rewrite engine (boxed keys, per-event closures, Fun.protect).";
+  Bench_util.note
+    "idle: %d requests; the per-tick reference loop ran %d events" idle_requests
+    idle_ref_events;
+  if not idle_identical then begin
+    Bench_util.note
+      "IDLE DIVERGENCE: spinner and per-tick loop completed requests at \
+       different times";
+    exit 1
+  end;
   (* Allocation-regression guard: the pooled path must stay within 2
      minor words/event in steady state. Gc counters are deterministic,
      so the gate (and the JSON it feeds) cannot flake. Bytecode allots
@@ -210,10 +285,13 @@ let run () =
     \  \"legacy_events\": %d,\n\
     \  \"legacy_words_per_event\": %.2f,\n\
     \  \"batching_events\": %d,\n\
+    \  \"idle_events\": %d,\n\
+    \  \"idle_ref_events\": %d,\n\
+    \  \"idle_identical\": %b,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe l_events l_wpe
-    b.Exp_batching.events
+    b.Exp_batching.events idle_events idle_ref_events idle_identical
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

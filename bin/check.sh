@@ -97,6 +97,14 @@ echo "== labstor_cli metrics smoke =="
 dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 > /dev/null
 test -s out/metrics.jsonl
 
+echo "== labstor_cli spin-budget smoke =="
+# A zero idle-spin budget parks workers at once; a long one spins 2500
+# ticks per gap. Both runs must finish and export the worker gauges.
+for spin in 0 200; do
+  dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 --set worker_spin_us=$spin > /dev/null
+  grep -q '"name":"runtime.worker0.active_ns"' out/metrics.jsonl
+done
+
 echo "== labstor_cli config smoke =="
 # A --set knob reaches the runtime (the SLO gauges exist only when an
 # objective is configured), and an unknown knob is an error.

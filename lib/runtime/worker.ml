@@ -27,7 +27,12 @@ type t = {
   exec : thread:int -> Request.t -> Request.result;
   qstat : qp_id:int -> service_ns:float -> unit;
   qprime : qp_id:int -> Request.t -> unit;
-  spin_ns : float;
+  (* Idle polling without an event per poll: [idle] ticks every
+     [poll_spin_ns] for [spin_ns] before the worker parks; [busy] ticks
+     every 2 µs for as long as a busy-polling worker holds queues.
+     Readiness listeners and [wake] poke both. *)
+  idle : Engine.spinner;
+  busy : Engine.spinner;
   busy_poll : bool;
   batch_size : int;
   mutable inflight : int;
@@ -67,7 +72,10 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     exec;
     qstat;
     qprime;
-    spin_ns;
+    idle =
+      Engine.make_spinner ~period:machine.Machine.costs.Costs.poll_spin_ns
+        ~budget:spin_ns;
+    busy = Engine.make_spinner ~period:2000.0 ~budget:Float.infinity;
     busy_poll;
     batch_size;
     inflight = 0;
@@ -85,7 +93,15 @@ let queues t = t.assigned
 
 let doorbell t = t.bell
 
-let wake t = ignore (Waitq.wake_all t.bell ())
+(* Something a sweep would see changed: a spinning worker polls at its
+   next tick, a parked one wakes. *)
+let poke t =
+  Engine.poke t.idle;
+  Engine.poke t.busy
+
+let wake t =
+  poke t;
+  ignore (Waitq.wake_all t.bell ())
 
 let assign t qps =
   (* Detach our doorbell and readiness listener from queues we lose;
@@ -100,7 +116,10 @@ let assign t qps =
   let n = Array.length t.qarr in
   t.listeners <-
     Array.init n (fun i ->
-        let f () = Bitset.set t.ready i in
+        let f () =
+          Bitset.set t.ready i;
+          poke t
+        in
         f);
   Bitset.resize t.ready n;
   Bitset.clear_all t.ready;
@@ -247,6 +266,18 @@ let park t =
     ~arg:(t.done_count - done_before)
     ~tag:"worker"
 
+(* One more idle tick. A tick the engine passes stands for a sweep
+   that would change nothing, and every change a sweep could see pokes
+   the spinner — with one exception: with the window full, a sweep
+   clears the bit of a ready queue that another worker drained, so the
+   ticks of a full window with bits set are all made real. *)
+let tick t sp =
+  if t.inflight >= t.max_inflight && not (Bitset.is_empty t.ready) then
+    Engine.poke sp;
+  Engine.spin sp
+
+let rec spin t = tick t t.idle && (sweep t || spin t)
+
 let start t =
   Engine.spawn t.machine.Machine.engine (fun () ->
       t.awake_since <- Engine.now t.machine.Machine.engine;
@@ -259,22 +290,14 @@ let start t =
         else if t.busy_poll && t.assigned <> [] then begin
           (* Statically-configured workers never sleep: poll the queue
              set at a coarse interval (the sweep itself costs time). *)
-          Engine.wait 2000.0;
+          Engine.spin_begin t.busy;
+          ignore (tick t t.busy);
           loop ()
         end
         else begin
           (* Idle: spin-poll for a bounded budget, then park. *)
-          let deadline =
-            Engine.now t.machine.Machine.engine +. t.spin_ns
-          in
-          let rec spin () =
-            if Engine.now t.machine.Machine.engine >= deadline then false
-            else begin
-              Engine.wait (costs t).Costs.poll_spin_ns;
-              if sweep t then true else spin ()
-            end
-          in
-          if not (spin ()) then park t;
+          Engine.spin_begin t.idle;
+          if not (spin t) then park t;
           loop ()
         end
       in

@@ -4,8 +4,10 @@
     A worker sweeps its assigned queue pairs; on an empty sweep it spins
     briefly (polling), then parks on its doorbell until a submission
     rings it — modelling the paper's workers that stop busy-waiting
-    after an idle period. Awake wall-time is accounted as CPU
-    utilization. Workers participate in the centralized upgrade
+    after an idle period. The spin is an {!Lab_sim.Engine.spinner}:
+    polls that would find nothing cost no event, and a doorbell, mark
+    change or {!wake} makes the next poll real. Awake wall-time is
+    accounted as CPU utilization. Workers participate in the centralized upgrade
     protocol by acknowledging queue marks. *)
 
 type t

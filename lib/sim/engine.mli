@@ -86,21 +86,67 @@ val unpark : park_cell -> unit
 val parked : park_cell -> bool
 (** True while a process is parked in the cell. *)
 
+type spinner
+(** A reusable spot for a process that polls every [period] ns until
+    something changes or its budget runs out — [wait period] in a loop,
+    without an event per poll.
+
+    The engine tracks a spinning process's ticks itself instead of
+    queueing them. A tick whose poll would find nothing new is passed
+    without resuming anyone, yet it takes the sequence number its
+    [wait] would have taken, in key order with every other tick, so
+    every queued event keeps the (time, seq) key it would have with one
+    event per tick. A tick resumes its process only when it was
+    {!poke}d, or when it is the first at or past the deadline. *)
+
+val make_spinner : period:float -> budget:float -> spinner
+(** [period] (negative taken as 0) is the gap between ticks; [budget]
+    is how long one idle stretch may spin (infinity: no last tick). *)
+
+val spin_begin : spinner -> unit
+(** Starts an idle stretch: the deadline becomes [now + budget]. Call
+    it right after a poll that found nothing — pokes from before it are
+    forgotten, and a passed tick stands for a poll that would find the
+    same — and poke on every change a poll could see. Must be called
+    from within a process. *)
+
+val spin : spinner -> bool
+(** [spin sp] returns [false] at once when [now] has reached the
+    deadline. Otherwise it suspends the caller until its next tick that
+    is real — ticks fall at [now + period], then [+ period] again, by
+    the same float accumulation as repeated [wait period] — and returns
+    [true]: either the first tick after a {!poke}, or the first tick at
+    or past the deadline. Must be called from within a process. *)
+
+val poke : spinner -> unit
+(** Makes the spinner's next tick real: its owner resumes at that
+    tick's own time, under that tick's own sequence number. A poke
+    while the owner runs between two ticks of one idle stretch applies
+    to its next {!spin}. May be called from inside or outside a
+    process. *)
+
 val run : ?until:float -> t -> unit
 (** Executes events until the queue drains or virtual time would exceed
     [until]. Processes still suspended when the queue drains simply never
-    continue (this models daemons outliving the experiment). *)
+    continue (this models daemons outliving the experiment). Spinner
+    ticks count as queued: a drain runs every spinner out to its last
+    tick (a spinner without one never drains), and [until] passes only
+    ticks at or before the limit. *)
 
 val step : t -> bool
-(** Executes exactly one event; false when the queue is empty. Lets a
-    caller interleave simulation with a host-side stop condition without
-    discarding pending events. *)
+(** Executes exactly one event, after passing the spinner ticks that
+    come before it; with no event queued it passes one tick. False when
+    nothing is queued and nothing spins. Lets a caller interleave
+    simulation with a host-side stop condition without discarding
+    pending events. *)
 
 val active : t -> bool
-(** True while the engine has queued events. *)
+(** True while the engine has queued events or spinning processes. *)
 
 val events_executed : t -> int
-(** Total event count; useful for regression tests on determinism. *)
+(** Total event count; useful for regression tests on determinism.
+    Spinner ticks that are passed without resuming anyone do not
+    count. *)
 
 val set_tick : t -> period:float -> (float -> unit) -> unit
 (** Installs the virtual-time sampling hook: [f] is called at every
@@ -123,4 +169,5 @@ exception Stopped
 (** Raised inside processes that the engine terminates via {!stop_all}. *)
 
 val stop_all : t -> unit
-(** Drops all queued events. Suspended processes are abandoned. *)
+(** Drops all queued events and spinners. Suspended processes are
+    abandoned. *)

@@ -376,6 +376,28 @@ let prop_orchestrator_assigns_all =
       List.length assigned = List.length queues
       && List.length bins <= max_workers)
 
+(* An idle worker with nothing assigned spins its budget and parks. The
+   spin is awake time, as with one event per 80 ns poll, but costs two
+   events (start, last tick); a budget <= 0 parks at once, with no tick
+   and no sweep. *)
+let test_worker_idle_spin_budget () =
+  List.iter
+    (fun (spin_ns, awake, events) ->
+      let m = Machine.create ~ncores:2 () in
+      let w =
+        Worker.create m ~id:0 ~thread:0 ~spin_ns
+          ~exec:(fun ~thread:_ _ -> Alcotest.fail "nothing to execute")
+          ()
+      in
+      Worker.start w;
+      Machine.run m;
+      let name = Printf.sprintf "spin %.0f ns" spin_ns in
+      Alcotest.(check bool) (name ^ ": parked") true (Worker.parked w);
+      Alcotest.(check (float 0.0)) (name ^ ": awake ns") awake (Worker.active_ns w);
+      Alcotest.(check int) (name ^ ": events") events
+        (Engine.events_executed m.Machine.engine))
+    [ (-1.0, 0.0, 1); (0.0, 0.0, 1); (5000.0, 5040.0, 2); (160.0, 160.0, 2) ]
+
 let () =
   Alcotest.run "lab_runtime"
     [
@@ -390,6 +412,7 @@ let () =
             test_sync_faster_than_async_single_thread;
           Alcotest.test_case "permissions in stack" `Quick test_permission_stack_denies;
           Alcotest.test_case "parallel clients" `Quick test_multiple_clients_parallel;
+          Alcotest.test_case "idle spin budget" `Quick test_worker_idle_spin_budget;
         ] );
       ( "upgrades",
         [

@@ -256,6 +256,200 @@ let test_engine_join_zero () =
   Alcotest.(check bool) "returned within it" true !returned;
   Alcotest.(check bool) "nothing left queued" false (Engine.active e)
 
+(* [Engine.spin] against the per-tick loop it replaced
+   ([Lab_legacy.Tick_spin], one [wait period] event per poll). A case
+   runs 1-4 spinning processes and 1-3 pokers. A spinning process
+   alternates work ([wait]) with idle stretches: it polls once, and if
+   that finds nothing it spins for its budget, then parks until poked.
+   A poker waits random delays and then gives a spinner one unit of
+   work and pokes it. Everything is an integer number of ns, so events
+   and ticks really tie, and processes often start idle at the same
+   time. Both versions must log the same (label, now) at every process
+   resumption, in order, and end at the same [now] with the same
+   [active]. Driven by [run], [run ~until], [run ~until] then [stop_all]
+   (then a late poker), and [step]; only the bounded drivers get
+   spinners without a last tick. *)
+type spin_case = {
+  periods : int array;
+  budgets : int option array;  (* None: no last tick *)
+  works : int list array;
+  pokes : (int * int) list list;  (* per poker: (delay, target) *)
+  driver : int;  (* 0 run · 1 until · 2 until + stop_all · 3 step *)
+  limit : int;
+}
+
+let run_spin_case ~reference c =
+  let e = Engine.create () in
+  let n = Array.length c.periods in
+  let bounded = c.driver = 1 || c.driver = 2 in
+  let budget i =
+    match c.budgets.(i) with
+    | Some b -> float_of_int b
+    | None -> if bounded then Float.infinity else 50.0
+  in
+  let period i = float_of_int c.periods.(i) in
+  let sps =
+    Array.init n (fun i -> Engine.make_spinner ~period:(period i) ~budget:(budget i))
+  in
+  let cells = Array.init n (fun _ -> Engine.make_park_cell ()) in
+  let pending = Array.make n 0 in
+  let log = ref [] in
+  let note fmt =
+    Printf.ksprintf (fun l -> log := (l, Engine.now e) :: !log) fmt
+  in
+  let poll i () =
+    pending.(i) > 0
+    && begin
+         pending.(i) <- pending.(i) - 1;
+         true
+       end
+  in
+  let idle i =
+    if reference then
+      Lab_legacy.Tick_spin.spin ~period:(period i) ~budget:(budget i) (poll i)
+    else begin
+      let sp = sps.(i) in
+      Engine.spin_begin sp;
+      let rec go () = Engine.spin sp && (poll i () || go ()) in
+      go ()
+    end
+  in
+  let poke j =
+    pending.(j) <- pending.(j) + 1;
+    if not reference then Engine.poke sps.(j);
+    Engine.unpark cells.(j)
+  in
+  Array.iteri
+    (fun i works ->
+      Engine.spawn e (fun () ->
+          List.iter
+            (fun w ->
+              Engine.wait (float_of_int w);
+              note "s%d idle" i;
+              if poll i () then note "s%d busy" i
+              else if idle i then note "s%d polled" i
+              else begin
+                note "s%d park" i;
+                Engine.park cells.(i);
+                note "s%d woke" i
+              end)
+            works))
+    c.works;
+  let poker k pokes () =
+    List.iter
+      (fun (d, j) ->
+        Engine.wait (float_of_int d);
+        note "p%d>s%d" k (j mod n);
+        poke (j mod n))
+      pokes
+  in
+  List.iteri (fun k p -> Engine.spawn e (poker k p)) c.pokes;
+  let limit = float_of_int c.limit in
+  (match c.driver with
+  | 0 -> Engine.run e
+  | 1 -> Engine.run ~until:limit e
+  | 2 ->
+      Engine.run ~until:limit e;
+      Engine.stop_all e;
+      (* Dropped spinners stay dropped: a late poke resumes no one. *)
+      Engine.spawn e (poker 9 [ (3, 0); (0, n - 1) ]);
+      Engine.run e
+  | _ ->
+      while Engine.step e do
+        ()
+      done);
+  (List.rev !log, Engine.now e, Engine.active e)
+
+let spin_case_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n ->
+    array_size (return n) (int_range 1 12) >>= fun periods ->
+    array_size (return n)
+      (frequency
+         [ (6, map Option.some (int_range 0 90)); (1, return (Some (-3))); (1, return None) ])
+    >>= fun budgets ->
+    array_size (return n) (list_size (int_range 1 4) (oneofl [ 0; 0; 1; 5; 12; 30 ]))
+    >>= fun works ->
+    list_size (int_range 1 3)
+      (list_size (int_range 1 6) (pair (int_range 0 60) (int_range 0 3)))
+    >>= fun pokes ->
+    int_range 0 3 >>= fun driver ->
+    int_range 0 250 >>= fun limit ->
+    return { periods; budgets; works; pokes; driver; limit })
+
+let prop_spin_matches_per_tick_loop =
+  QCheck.Test.make ~name:"spin matches the per-tick loop" ~count:1000
+    (QCheck.make spin_case_gen) (fun c ->
+      run_spin_case ~reference:false c = run_spin_case ~reference:true c)
+
+(* A 100 ms budget is 1.25 M ticks of 80 ns: passing them allocates
+   nothing per tick, and the process resumes at exactly the tick the
+   per-tick loop would end on (its float accumulation). *)
+let test_engine_spin_long_budget () =
+  let e = Engine.create () in
+  let sp = Engine.make_spinner ~period:80.0 ~budget:1e8 in
+  let resumed = ref Float.nan and polled = ref false in
+  Engine.spawn e (fun () ->
+      Engine.wait 3.5;
+      Engine.spin_begin sp;
+      let rec go () = Engine.spin sp && (polled := true; go ()) in
+      ignore (go ());
+      resumed := Engine.now e);
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. w0 in
+  let expect = ref 3.5 in
+  while !expect < 3.5 +. 1e8 do
+    expect := !expect +. 80.0
+  done;
+  check_float "ends on the per-tick loop's last tick" !expect !resumed;
+  Alcotest.(check bool) "only the last tick resumed it" true !polled;
+  Alcotest.(check int) "three real events" 3 (Engine.events_executed e);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no allocation per tick (%.0f words)" words)
+        true (words < 1000.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+(* With nothing queued, [step] passes one tick per call, as the one
+   event it stands for; a poke makes the next tick the resume. *)
+let test_engine_spin_step () =
+  let e = Engine.create () in
+  let sp = Engine.make_spinner ~period:10.0 ~budget:Float.infinity in
+  let resumed = ref Float.nan in
+  Engine.spawn e (fun () ->
+      Engine.spin_begin sp;
+      ignore (Engine.spin sp);
+      resumed := Engine.now e);
+  Alcotest.(check bool) "start" true (Engine.step e);
+  for k = 1 to 3 do
+    Alcotest.(check bool) "a tick" true (Engine.step e);
+    check_float "clock on the tick" (10.0 *. float_of_int k) (Engine.now e)
+  done;
+  Alcotest.(check bool) "still spinning" true (Engine.active e);
+  Engine.poke sp;
+  Alcotest.(check bool) "the resume" true (Engine.step e);
+  check_float "resumed on the next tick" 40.0 !resumed;
+  Alcotest.(check bool) "drained" false (Engine.active e);
+  Alcotest.(check int) "two real events" 2 (Engine.events_executed e)
+
+(* A zero or negative budget returns at once: no tick, no event. *)
+let test_engine_spin_zero_budget () =
+  List.iter
+    (fun budget ->
+      let e = Engine.create () in
+      let sp = Engine.make_spinner ~period:80.0 ~budget in
+      let r = ref true in
+      Engine.spawn e (fun () ->
+          Engine.spin_begin sp;
+          r := Engine.spin sp);
+      Engine.run e;
+      Alcotest.(check bool) "spin returns false" false !r;
+      check_float "clock did not move" 0.0 (Engine.now e);
+      Alcotest.(check int) "one event" 1 (Engine.events_executed e))
+    [ 0.0; -1.0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Evq                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -717,6 +911,12 @@ let () =
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "join zero" `Quick test_engine_join_zero;
           QCheck_alcotest.to_alcotest prop_join_matches_countdown;
+          QCheck_alcotest.to_alcotest prop_spin_matches_per_tick_loop;
+          Alcotest.test_case "spin long budget" `Quick
+            test_engine_spin_long_budget;
+          Alcotest.test_case "spin zero budget" `Quick
+            test_engine_spin_zero_budget;
+          Alcotest.test_case "spin step" `Quick test_engine_spin_step;
         ] );
       ("evq", [ QCheck_alcotest.to_alcotest prop_evq_matches_heap ]);
       ( "heap",
